@@ -22,6 +22,7 @@
 //! reports `supported() == false` and callers keep the eventcount path.
 
 use std::sync::atomic::AtomicU64;
+use std::time::Duration;
 
 #[cfg(all(
     target_os = "linux",
@@ -29,6 +30,7 @@ use std::sync::atomic::AtomicU64;
 ))]
 mod imp {
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     #[cfg(target_arch = "x86_64")]
     const SYS_FUTEX: i64 = 202;
@@ -61,21 +63,36 @@ mod imp {
         true
     }
 
+    /// `struct timespec` on the 64-bit Linux targets above.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
     #[inline]
-    pub fn wait(word: &AtomicU64, expected: u64) {
+    pub fn wait(word: &AtomicU64, expected: u64, timeout: Option<Duration>) {
+        let ts = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(t.subsec_nanos()),
+        });
+        let ts_ptr = ts
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
         // SAFETY: `low_half` points into a live AtomicU64 (4-byte aligned
         // because the u64 is 8-byte aligned); the kernel atomically compares
         // *uaddr against `expected as u32` and sleeps only on equality, so a
         // store that already happened makes this return immediately
-        // (EAGAIN). A NULL timeout means wait indefinitely; spurious wakeups
-        // are allowed and the caller re-checks in a loop.
+        // (EAGAIN). A NULL timeout means wait indefinitely, otherwise `ts`
+        // (alive for the call) is a relative timeout (ETIMEDOUT); spurious
+        // wakeups are allowed and the caller re-checks in a loop.
         unsafe {
             syscall(
                 SYS_FUTEX,
                 low_half(word),
                 FUTEX_WAIT | FUTEX_PRIVATE_FLAG,
                 expected as u32,
-                std::ptr::null::<u8>(), // timeout: none
+                ts_ptr,
             );
         }
     }
@@ -100,12 +117,13 @@ mod imp {
 )))]
 mod imp {
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     pub const fn supported() -> bool {
         false
     }
 
-    pub fn wait(_word: &AtomicU64, _expected: u64) {
+    pub fn wait(_word: &AtomicU64, _expected: u64, _timeout: Option<Duration>) {
         unreachable!("futex path taken on an unsupported target");
     }
 
@@ -126,7 +144,14 @@ pub const fn supported() -> bool {
 /// concurrent store-then-wake cannot be lost.
 #[inline]
 pub fn wait(word: &AtomicU64, expected: u64) {
-    imp::wait(word, expected);
+    imp::wait(word, expected, None);
+}
+
+/// [`wait`] bounded by `timeout`: also returns once `timeout` has elapsed.
+/// Callers re-check both the word and their deadline in a loop.
+#[inline]
+pub fn wait_timeout(word: &AtomicU64, expected: u64, timeout: Duration) {
+    imp::wait(word, expected, Some(timeout));
 }
 
 /// Wakes every thread parked in [`wait`] on `word`.

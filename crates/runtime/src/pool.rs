@@ -16,12 +16,13 @@
 //!   monotone 64-bit generation, published into one `CachePadded` flag per
 //!   worker (local spinning: each worker's flag line is invalidated exactly
 //!   once per phase, there is no broadcast storm on a shared word), with
-//!   per-worker padded ack slots on the completion side. Waiters spin a
-//!   configurable budget with [`std::hint::spin_loop`], then
-//!   [`std::thread::yield_now`], and finally fall back to condvar parking —
-//!   so an oversubscribed pool (more workers than cores, e.g. a CI
-//!   container) degrades to the blocking protocol instead of burning
-//!   timeslices. On a dedicated machine a phase turnaround is pure
+//!   per-worker padded ack slots on the completion side. Workers waiting
+//!   for the next job spin a configurable budget with
+//!   [`std::hint::spin_loop`], then [`std::thread::yield_now`], and finally
+//!   fall back to condvar parking — so an oversubscribed pool (more workers
+//!   than cores, e.g. a CI container) degrades to the blocking protocol
+//!   instead of burning timeslices. Phases chained worker-to-worker
+//!   through a [`crate::barrier::SenseBarrier`] turn around in pure
 //!   user-space stores and loads: zero kernel round-trips.
 //! * **Condvar** — the classic mutex + condition-variable rendezvous the
 //!   runtime shipped with before the barrier rework, kept selectable for
@@ -34,6 +35,17 @@
 //! Both protocols share the publication scheme (per-worker `SeqCst`
 //! generation flags + padded ack slots guarding a plain job cell), so the
 //! differential tests compare exactly the two *waiting* strategies.
+//!
+//! The coordinator — the thread that publishes a job and waits for its
+//! acks — never spins or yields: after publishing it parks at once, and
+//! the worker whose ack completes the job wakes it. It sleeps on a
+//! dedicated `futex(2)` word where the target has one (spin and futex
+//! pools alike), on the eventcount condvar elsewhere, and on the shared
+//! condvar under [`BarrierKind::Condvar`]. With `P` workers on `P` CPUs
+//! the coordinator is the (P+1)-th runnable thread, so every cycle it
+//! spends polling for completion is taken from a worker doing the job;
+//! parking hands its CPU back for the job's whole length at the price of
+//! one wake-to-run at the end.
 //!
 //! A pool can pin worker `i` to core `i mod cores`
 //! ([`PoolBuilder::pin_cores`]), making AFS's deterministic
@@ -61,7 +73,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
@@ -102,9 +114,10 @@ pub enum BarrierKind {
     Futex,
 }
 
-/// Default spin iterations before yielding (dedicated machines). ~1–2 µs
-/// of `spin_loop` hints: longer than a phase turnaround, shorter than a
-/// timeslice.
+/// Default spin iterations before yielding (dedicated machines). ≈ 93 µs
+/// of `spin_loop` hints, measured on a 2-vCPU Xeon VM where one `pause`
+/// costs ≈ 23 ns: longer than a phase turnaround, shorter than a
+/// timeslice. Applies to workers only; the coordinator never spins.
 pub const DEFAULT_SPINS: u32 = 4_096;
 
 /// Spin iterations used when the pool is oversubscribed (more workers than
@@ -122,18 +135,10 @@ pub const DEFAULT_YIELDS: u32 = 256;
 /// below this, waits that a same-core flip would resolve start parking.
 pub const ADAPTIVE_MIN_SPINS: u32 = OVERSUBSCRIBED_SPINS;
 
-/// Ceiling for the adaptive spin controller: ~a quarter timeslice of
-/// `spin_loop` hints. Spinning longer than this never beats parking.
+/// Ceiling for the adaptive spin controller: ≈ 1.5 ms of `spin_loop` hints
+/// at the ≈ 23 ns per `pause` behind [`DEFAULT_SPINS`]. Spinning longer
+/// than this never beats parking.
 pub const ADAPTIVE_MAX_SPINS: u32 = 65_536;
-
-/// Coordinator-side `yield_now` rounds when the pool is oversubscribed.
-/// While acks trickle in, every futile coordinator wakeup steals a
-/// timeslice from the workers still computing; parking after a couple of
-/// yields costs one futex wake (by the last acker) and returns the core.
-/// Workers keep the full yield budget: their next event (the new phase)
-/// arrives quickly, and parking all of them would re-create the condvar
-/// protocol's wake-all storm.
-const OVERSUBSCRIBED_COORD_YIELDS: u32 = 2;
 
 /// The published job slot. Plain memory, synchronized by the generation
 /// flags: the coordinator writes it strictly before storing the new
@@ -166,8 +171,12 @@ struct Shared {
     /// The coordinator takes the parking lock to notify only when this is
     /// non-zero, so the fast path never touches the mutex.
     sleepers: AtomicU64,
-    /// Coordinators currently parked (or committing to park) on `done_cv`.
+    /// Coordinators currently parked (or committing to park) on `done_cv`
+    /// or the `done_seq` futex word.
     done_waiters: AtomicU64,
+    /// The word a parked coordinator sleeps on when `coord_futex` is set.
+    /// The worker that completes a generation bumps it, then wakes it.
+    done_seq: CachePadded<AtomicU64>,
     /// Parking lot shared by both condvars. Uncontended except when a
     /// waiter has actually given up spinning.
     park: Mutex<()>,
@@ -177,20 +186,21 @@ struct Shared {
     /// never spin. When set, `spins`/`yields` are unused.
     classic: bool,
     /// Futex protocol ([`BarrierKind::Futex`] on a supported target):
-    /// park directly on the generation/ack words with `futex(2)` instead
-    /// of the mutex + condvar eventcount.
+    /// workers park directly on their generation words with `futex(2)`
+    /// instead of the mutex + condvar eventcount.
     futex: bool,
+    /// The coordinator parks on the `done_seq` futex word instead of
+    /// `done_cv`: every non-classic pool on a target with `futex(2)`,
+    /// unless forced onto the eventcount fallback.
+    coord_futex: bool,
     /// Spin iterations before yielding (spin/futex protocols). Atomic so
     /// the adaptive controller can retune it between regions while workers
     /// read it lock-free.
     spins: AtomicU32,
     /// Self-sizing spin-budget controller; `None` keeps `spins` static.
     controller: Option<SpinController>,
-    /// `yield_now` rounds before parking (spin protocol only).
+    /// Worker-side `yield_now` rounds before parking (spin protocol only).
     yields: u32,
-    /// Coordinator-side `yield_now` rounds before parking; clamped to
-    /// [`OVERSUBSCRIBED_COORD_YIELDS`] when workers outnumber cores.
-    coord_yields: u32,
     /// Deterministic yield injection at the protocol's race windows
     /// (seeded stress tests only).
     inject: Option<YieldInject>,
@@ -380,51 +390,77 @@ impl Shared {
         r
     }
 
-    /// Coordinator side (spin protocol): waits until every worker acked
-    /// `generation`. Spin → yield → park, symmetric with
-    /// [`Shared::wait_start`]. The classic protocol instead waits under
-    /// the mutex inside [`Pool::run_arc`].
-    fn wait_all_acked(&self, generation: u64) {
-        for _ in 0..self.spin_budget() {
-            if self.all_acked(generation) {
-                return;
-            }
-            std::hint::spin_loop();
+    /// Coordinator side, every protocol: parks until every live worker
+    /// acked `generation`, or until `timeout` (if any) elapses. Returns
+    /// whether the generation completed. No spin budget and no yield
+    /// rounds: the coordinator is the thread the workers' CPUs can least
+    /// afford to share with (see the module docs), so it sleeps at once
+    /// and the worker that completes the generation wakes it.
+    fn wait_all_acked(&self, generation: u64, timeout: Option<Duration>) -> bool {
+        if self.all_acked(generation) {
+            return true;
         }
-        for _ in 0..self.coord_yields {
-            if self.all_acked(generation) {
-                return;
-            }
-            self.inject_point();
-            std::thread::yield_now();
-        }
+        let deadline = timeout.map(|t| Instant::now() + t);
+        // Registration precedes every re-check (both SeqCst): a worker
+        // that saw zero `done_waiters` and skipped its wake stored its ack
+        // SC-before our registration, so the re-check observes it. The
+        // classic protocol's workers notify unconditionally.
         self.done_waiters.fetch_add(1, Ordering::SeqCst);
         self.inject_point();
-        if self.futex {
-            // Sleep on each lagging worker's ack word in turn. The
-            // waiter-count/SeqCst pairing mirrors the start side: a worker
-            // that saw zero `done_waiters` and skipped its wake stored its
-            // ack SC-before our registration above, so the re-load below
-            // observes it and we never sleep on a completed slot.
-            let live = self.live.load(Ordering::Relaxed);
-            for slot in &self.acks[..live] {
-                loop {
-                    let acked = slot.load(Ordering::SeqCst);
-                    if acked >= generation {
-                        break;
+        let mut guard = (!self.coord_futex).then(|| self.lock_park());
+        let done = loop {
+            // Futex: read the word before the re-check, so a completion
+            // bump landing in between makes the kernel's compare fail.
+            let seq = self.done_seq.load(Ordering::SeqCst);
+            if self.all_acked(generation) {
+                break true;
+            }
+            let left = match deadline {
+                None => None,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => break false,
+                },
+            };
+            guard = match guard {
+                // Eventcount: the check above ran under the parking lock,
+                // which the completing worker takes to notify.
+                Some(g) => Some(match left {
+                    None => self.done_cv.wait(g).unwrap_or_else(|p| p.into_inner()),
+                    Some(left) => {
+                        self.done_cv
+                            .wait_timeout(g, left)
+                            .unwrap_or_else(|p| p.into_inner())
+                            .0
                     }
+                }),
+                None => {
                     self.inject_point();
-                    futex::wait(slot, acked);
+                    match left {
+                        None => futex::wait(&self.done_seq, seq),
+                        Some(left) => futex::wait_timeout(&self.done_seq, seq, left),
+                    }
+                    None
                 }
-            }
-        } else {
-            let mut guard = self.lock_park();
-            while !self.all_acked(generation) {
-                guard = self.done_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-            }
-            drop(guard);
-        }
+            };
+        };
+        drop(guard);
         self.done_waiters.fetch_sub(1, Ordering::SeqCst);
+        done
+    }
+
+    /// Worker side: wakes the parked coordinator. Called by any worker
+    /// that observed its generation fully acked; two racing callers cost
+    /// one spurious wake, never a lost one.
+    fn wake_coordinator(&self, idx: usize) {
+        if self.coord_futex {
+            self.done_seq.fetch_add(1, Ordering::SeqCst);
+            futex::wake_all(&self.done_seq);
+            self.metrics.worker(idx).record_futex_wake();
+        } else {
+            let _guard = self.lock_park();
+            self.done_cv.notify_all();
+        }
     }
 }
 
@@ -500,9 +536,10 @@ impl PoolBuilder {
         self
     }
 
-    /// Overrides the spin budget: `spins` busy iterations, then `yields`
-    /// rounds of `yield_now`, then parking. Only meaningful for
-    /// [`BarrierKind::Spin`]. Oversubscribed pools (more workers than
+    /// Overrides the workers' spin budget: `spins` busy iterations, then
+    /// `yields` rounds of `yield_now`, then parking. Only meaningful for
+    /// [`BarrierKind::Spin`] and [`BarrierKind::Futex`]; the coordinator
+    /// parks at once regardless. Oversubscribed pools (more workers than
     /// cores) clamp `spins` down automatically.
     pub fn spin_budget(mut self, spins: u32, yields: u32) -> Self {
         self.spins = spins;
@@ -522,9 +559,10 @@ impl PoolBuilder {
         self
     }
 
-    /// Forces [`BarrierKind::Futex`] pools onto the eventcount
-    /// (mutex + condvar) fallback even when the target supports `futex(2)`
-    /// — exercises the non-Linux path on Linux CI.
+    /// Forces every `futex(2)` park — [`BarrierKind::Futex`] workers' and
+    /// any non-classic coordinator's — onto the eventcount
+    /// (mutex + condvar) fallback even when the target supports the
+    /// syscall: exercises the non-Linux path on Linux CI.
     #[doc(hidden)]
     pub fn force_park_fallback(mut self, on: bool) -> Self {
         self.force_park_fallback = on;
@@ -628,13 +666,8 @@ impl PoolBuilder {
             }
         };
         let classic = self.barrier == BarrierKind::Condvar;
-        let use_futex =
-            self.barrier == BarrierKind::Futex && futex::supported() && !self.force_park_fallback;
-        let coord_yields = if p <= cores {
-            yields
-        } else {
-            yields.min(OVERSUBSCRIBED_COORD_YIELDS)
-        };
+        let futex_ok = futex::supported() && !self.force_park_fallback;
+        let use_futex = self.barrier == BarrierKind::Futex && futex_ok;
         let controller = (self.adaptive && !classic)
             .then(|| SpinController::new(spins, ADAPTIVE_MIN_SPINS, ADAPTIVE_MAX_SPINS));
         let shared = Arc::new(Shared {
@@ -644,14 +677,15 @@ impl PoolBuilder {
             shutdown: AtomicBool::new(false),
             sleepers: AtomicU64::new(0),
             done_waiters: AtomicU64::new(0),
+            done_seq: CachePadded::default(),
             park: Mutex::new(()),
             start_cv: Condvar::new(),
             done_cv: Condvar::new(),
             classic,
             futex: use_futex,
+            coord_futex: !classic && futex_ok,
             spins: AtomicU32::new(spins),
             controller,
-            coord_yields,
             yields,
             inject: self.inject_seed.map(YieldInject::new),
             inject_seed: self.inject_seed,
@@ -883,9 +917,10 @@ impl Pool {
         }
     }
 
-    /// Whether this pool parks on `futex(2)` words ([`BarrierKind::Futex`]
-    /// on a supported target; `false` when the eventcount fallback is in
-    /// effect).
+    /// Whether this pool's workers park on `futex(2)` words
+    /// ([`BarrierKind::Futex`] on a supported target; `false` when the
+    /// eventcount fallback is in effect). The coordinator's own park is
+    /// described in the module docs.
     pub fn uses_futex(&self) -> bool {
         self.shared.futex
     }
@@ -962,10 +997,11 @@ impl Pool {
     }
 
     /// Starts `job(worker_index)` on every worker **without waiting** for
-    /// completion. Returns a [`DispatchTicket`] whose owner polls
-    /// [`DispatchTicket::is_complete`] and eventually calls
-    /// [`DispatchTicket::wait`]; fails with [`TryDispatchError::Busy`] if
-    /// a previous job (from `run` or another ticket) is still in flight.
+    /// completion. Returns a [`DispatchTicket`] whose owner parks in
+    /// [`DispatchTicket::wait_for`] between bursts of its own work and
+    /// eventually calls [`DispatchTicket::wait`]; fails with
+    /// [`TryDispatchError::Busy`] if a previous job (from `run` or another
+    /// ticket) is still in flight.
     ///
     /// The job must be `'static` (an `Arc` closure): unlike [`Pool::run`],
     /// the caller keeps executing while workers hold the job. The serving
@@ -1037,9 +1073,10 @@ impl Pool {
 /// An in-flight broadcast job started by [`Pool::try_dispatch`].
 ///
 /// The ticket *is* the pool's dispatch slot: while it lives, no other job
-/// can start (`run` blocks, `try_dispatch` returns `Busy`). Poll
-/// [`DispatchTicket::is_complete`] to overlap caller-side work with the
-/// job, then collect the outcome with [`DispatchTicket::wait`]. Dropping
+/// can start (`run` blocks, `try_dispatch` returns `Busy`). Park in
+/// [`DispatchTicket::wait_for`] to overlap caller-side work with the job
+/// at a fixed cadence, then collect the outcome with
+/// [`DispatchTicket::wait`]. Dropping
 /// the ticket also completes the protocol (waiting if needed) but
 /// discards any job panic. Leaking it (`mem::forget`) wedges the pool —
 /// the dispatch slot is never released.
@@ -1051,10 +1088,15 @@ pub struct DispatchTicket<'a> {
 }
 
 impl DispatchTicket<'_> {
-    /// Whether every worker has finished the job. Non-blocking; once true
-    /// it stays true, and [`DispatchTicket::wait`] will not block.
-    pub fn is_complete(&self) -> bool {
-        self.pool.shared.all_acked(self.gen)
+    /// Parks the caller until every worker has finished the job or
+    /// `timeout` elapses, whichever comes first; returns whether the job
+    /// finished. The worker completing the job wakes the caller at once,
+    /// so the timeout bounds only how long caller-side work can wait for
+    /// its next turn. A zero timeout is a non-blocking completion check.
+    /// Once true it stays true, and [`DispatchTicket::wait`] will not
+    /// block.
+    pub fn wait_for(&self, timeout: Duration) -> bool {
+        self.pool.shared.wait_all_acked(self.gen, Some(timeout))
     }
 
     /// The generation this ticket published (monotone per pool).
@@ -1078,14 +1120,7 @@ impl DispatchTicket<'_> {
     fn finish(&mut self) -> Option<PhaseError> {
         let mut generation = self.guard.take()?;
         let shared = &self.pool.shared;
-        if shared.classic {
-            let mut park = shared.lock_park();
-            while !shared.all_acked(self.gen) {
-                park = shared.done_cv.wait(park).unwrap_or_else(|p| p.into_inner());
-            }
-        } else {
-            shared.wait_all_acked(self.gen);
-        }
+        shared.wait_all_acked(self.gen, None);
         // SAFETY: every worker acked `gen`, and each ack store follows the
         // worker's clone of the job; dropping the cell contents is ordered
         // after all uses.
@@ -1168,6 +1203,14 @@ fn worker_loop(
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx))) {
             shared.record_failure(idx, payload);
         }
+        // Release this worker's reference before acking: the job cell still
+        // holds one until the coordinator collects every ack, so this drop
+        // is never the last, and whatever the job owns (a serve batch, the
+        // `Arc<Pool>` inside it) is dropped on the coordinator's side. A
+        // reference held past the ack could race the woken coordinator and
+        // run the job's destructor here, e.g. drop this very pool on one
+        // of its own workers.
+        drop(job);
 
         // Publish completion in this worker's own padded slot. SeqCst makes
         // the ack stores, the waiter-count loads and the coordinator's scan
@@ -1177,25 +1220,13 @@ fn worker_loop(
         // own re-check before parking.
         shared.acks[idx].store(seen, Ordering::SeqCst);
         shared.inject_point();
-        // Classic protocol: the coordinator always parks on `done_cv`, so
-        // the worker completing the generation must always lock + notify
-        // (the seed's rule: only the last worker touches the mutex). Spin
-        // protocol: notify only when a coordinator actually gave up
-        // spinning and registered as a waiter. Futex protocol: the
-        // coordinator sleeps on individual ack words, so each worker wakes
-        // its *own* word — no all-acked scan, no shared lock.
-        if shared.futex {
-            if shared.done_waiters.load(Ordering::SeqCst) > 0 {
-                futex::wake_all(&shared.acks[idx]);
-                shared.metrics.worker(idx).record_futex_wake();
-            }
-        } else {
-            let coordinator_parked =
-                shared.classic || shared.done_waiters.load(Ordering::SeqCst) > 0;
-            if coordinator_parked && shared.all_acked(seen) {
-                let _guard = shared.lock_park();
-                shared.done_cv.notify_all();
-            }
+        // Only the worker completing the generation wakes the coordinator
+        // (classic protocol: always, the seed's rule; spin and futex
+        // protocols: when a coordinator registered as parked, which is
+        // every dispatch that outlasts its publish).
+        let coordinator_parked = shared.classic || shared.done_waiters.load(Ordering::SeqCst) > 0;
+        if coordinator_parked && shared.all_acked(seen) {
+            shared.wake_coordinator(idx);
         }
     }
 }
@@ -1566,10 +1597,9 @@ mod tests {
                     c.fetch_add(1, Ordering::SeqCst);
                 }))
                 .unwrap();
-            // Poll to completion, then collect.
-            while !ticket.is_complete() {
-                std::thread::yield_now();
-            }
+            // Park in bounded slices until complete, then collect.
+            while !ticket.wait_for(Duration::from_millis(1)) {}
+            assert!(ticket.wait_for(Duration::ZERO), "{kind:?}");
             ticket.wait().unwrap();
             assert_eq!(counter.load(Ordering::SeqCst), 3, "{kind:?}");
         }
@@ -1588,7 +1618,7 @@ mod tests {
                     }
                 }))
                 .unwrap();
-            assert!(!ticket.is_complete(), "{kind:?}");
+            assert!(!ticket.wait_for(Duration::ZERO), "{kind:?}");
             assert_eq!(
                 pool.try_dispatch(Arc::new(|_| {})).err(),
                 Some(TryDispatchError::Busy),
@@ -1634,6 +1664,24 @@ mod tests {
         assert_eq!(err.worker(), 2);
         assert_eq!(err.message(), Some("ticket job blew up"));
         pool.try_run(|_| {}).unwrap();
+    }
+
+    #[test]
+    fn workers_release_the_job_before_acking() {
+        // Once `wait` returns, the dispatcher holds the only reference to
+        // what the job owns: no worker is left to run its destructor.
+        for kind in both_kinds() {
+            let pool = Pool::builder(2).barrier(kind).build();
+            for _ in 0..200 {
+                let token = Arc::new(());
+                let t = Arc::clone(&token);
+                let job = Arc::new(move |_: usize| {
+                    let _ = &t;
+                });
+                pool.try_dispatch(job).unwrap().wait().unwrap();
+                assert_eq!(Arc::strong_count(&token), 1, "{kind:?}");
+            }
+        }
     }
 
     #[test]

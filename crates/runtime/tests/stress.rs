@@ -512,3 +512,85 @@ fn phases_cover_exactly_once() {
         }
     }
 }
+
+/// Seeded lost-wakeup stress for the coordinator's immediate park: every
+/// barrier kind plus the forced eventcount fallback, × 20 yield-injection
+/// seeds, at P = 2 and an oversubscribed P = 3 on alternate seeds.
+/// A thousand empty `run`s per pool put the coordinator's register →
+/// re-check → sleep window against the completing worker's ack → wake
+/// window on every dispatch; a lost wakeup parks the coordinator for good
+/// and hangs the test. Gated `try_dispatch` tickets are then collected
+/// through timed waits that must time out repeatedly before the gate
+/// opens and must see the completion promptly after it (a lost wake
+/// would run the final wait to its full minute); a job panic released the
+/// same way must surface through `ticket.wait()`.
+#[test]
+fn coordinator_park_seeded_lost_wakeup_stress() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    const RUNS: usize = 1_000;
+    const TIMEOUTS: usize = 3;
+    let configs = [
+        (BarrierKind::Spin, false),
+        (BarrierKind::Condvar, false),
+        (BarrierKind::Futex, false),
+        (BarrierKind::Futex, true),
+    ];
+    for (kind, fallback) in configs {
+        for seed in 0..20u64 {
+            let ctx = format!("{kind:?} fallback={fallback} seed {seed}");
+            let p = 2 + (seed % 2) as usize;
+            let pool = Pool::builder(p)
+                .barrier(kind)
+                .force_park_fallback(fallback)
+                .spin_budget(64, 2)
+                .yield_injection(seed)
+                .build();
+            let hits = AtomicU64::new(0);
+            for _ in 0..RUNS {
+                pool.run(|_| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            assert_eq!(hits.load(Ordering::Relaxed), (RUNS * p) as u64, "{ctx}");
+
+            let culprit = seed as usize % p;
+            for panics in [false, true] {
+                let gate = Arc::new(AtomicBool::new(false));
+                let g = Arc::clone(&gate);
+                let ticket = pool
+                    .try_dispatch(Arc::new(move |w| {
+                        while !g.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        if panics && w == culprit {
+                            panic!("gated job blew up");
+                        }
+                    }))
+                    .unwrap();
+                for _ in 0..TIMEOUTS {
+                    assert!(
+                        !ticket.wait_for(Duration::from_micros(200)),
+                        "{ctx}: the job finished before its gate opened"
+                    );
+                }
+                gate.store(true, Ordering::SeqCst);
+                let t0 = Instant::now();
+                assert!(ticket.wait_for(Duration::from_secs(60)), "{ctx}");
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "{ctx}: the completion wake was lost"
+                );
+                match ticket.wait() {
+                    Ok(()) => assert!(!panics, "{ctx}: the job panic was swallowed"),
+                    Err(e) => {
+                        assert!(panics, "{ctx}: unexpected failure {e}");
+                        assert_eq!(e.worker(), culprit, "{ctx}");
+                        assert_eq!(e.message(), Some("gated job blew up"), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -27,15 +27,21 @@
 
 use crate::request::OwnedSource;
 use crate::server::{Admitted, ServerShared};
-use afs_runtime::{Pool, SenseBarrier, TryDispatchError};
+use afs_runtime::{PhaseError, Pool, SenseBarrier, TryDispatchError};
 use afs_scope::ServeEventKind;
 use afs_trace::event::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Sentinel in a request's failure slot: no worker has panicked in it.
 const NOT_FAILED: u64 = u64::MAX;
+
+/// Longest the dispatcher thread parks on an in-flight batch before it
+/// pumps the admission ring again. At this cadence a 1024-slot ring
+/// overflows only past ~5M admissions/s.
+const PUMP_INTERVAL: Duration = Duration::from_micros(200);
 
 /// How the dispatcher picks the next pool dispatch from its backlog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -467,14 +473,19 @@ impl Batch {
 }
 
 /// Executes `reqs` as one pool dispatch, recording dispatch stamps and
-/// queueing delays on the way in. `while_waiting` runs repeatedly while
-/// the pool is busy or the batch is in flight — the dispatcher uses it to
-/// keep pumping the admission ring so admission never stalls behind a
-/// long batch. Returns the number of requests executed.
+/// queueing delays on the way in. Returns the number of requests
+/// executed.
+///
+/// With `pump` (the dispatcher thread), the caller parks on the batch for
+/// at most [`PUMP_INTERVAL`] at a time and runs `pump` between parks, so
+/// admission never stalls behind a long batch; the worker finishing the
+/// batch wakes the dispatcher at once, so the cadence never delays the
+/// next dispatch. Without it (manual mode), the call simply blocks on the
+/// pool until the batch is done.
 pub(crate) fn execute(
     shared: &Arc<ServerShared>,
     reqs: Vec<Admitted>,
-    mut while_waiting: impl FnMut(),
+    pump: Option<&mut dyn FnMut()>,
 ) -> usize {
     debug_assert!(!reqs.is_empty());
     let pool = shared.pool();
@@ -499,31 +510,43 @@ pub(crate) fn execute(
         reqs,
         dispatch_ns,
     ));
-    let job: Arc<dyn Fn(usize) + Send + Sync> = {
-        let b = Arc::clone(&batch);
-        Arc::new(move |w| b.run_worker(w))
+    let outcome = match pump {
+        None => pool.try_run(|w| batch.run_worker(w)),
+        Some(pump) => {
+            let b = Arc::clone(&batch);
+            dispatch_pumping(&pool, Arc::new(move |w| b.run_worker(w)), pump)
+        }
     };
+    if let Err(e) = outcome {
+        // A panic escaped per-request containment (the pool's own
+        // catch_unwind caught it instead). Whatever the barrier turns
+        // never retired is failed here so the ledger balances; the
+        // dispatcher itself survives.
+        batch.fail_unretired(e.worker() as u32, e.phase() as u32);
+    }
+    count
+}
+
+/// Dispatches `job` and waits for it in timed parks of [`PUMP_INTERVAL`],
+/// running `pump` between them. While someone else (a blocking
+/// `Pool::run` caller) holds the pool, the retry loop sleeps the same
+/// interval between pumps.
+fn dispatch_pumping(
+    pool: &Pool,
+    job: Arc<dyn Fn(usize) + Send + Sync>,
+    pump: &mut dyn FnMut(),
+) -> Result<(), PhaseError> {
     loop {
         match pool.try_dispatch(Arc::clone(&job)) {
             Ok(ticket) => {
-                while !ticket.is_complete() {
-                    while_waiting();
-                    std::thread::yield_now();
+                while !ticket.wait_for(PUMP_INTERVAL) {
+                    pump();
                 }
-                if let Err(e) = ticket.wait() {
-                    // A panic escaped per-request containment (the pool's
-                    // own catch_unwind caught it instead). Whatever the
-                    // barrier turns never retired is failed here so the
-                    // ledger balances; the dispatcher itself survives.
-                    batch.fail_unretired(e.worker() as u32, e.phase() as u32);
-                }
-                return count;
+                return ticket.wait();
             }
             Err(TryDispatchError::Busy) => {
-                // Someone else (a blocking `Pool::run` caller) holds the
-                // pool; keep the admission ring flowing and retry.
-                while_waiting();
-                std::thread::yield_now();
+                pump();
+                std::thread::sleep(PUMP_INTERVAL);
             }
         }
     }

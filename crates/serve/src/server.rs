@@ -9,8 +9,9 @@
 //! [`LoopServer::pump`]/[`LoopServer::dispatch_next`] in manual mode —
 //! stages admitted requests into per-tenant FIFOs, selects what runs
 //! next under the configured [`Discipline`], and executes each pick as
-//! one non-blocking pool dispatch, pumping the ring *while* the pool
-//! crunches so admission never stalls behind a running batch.
+//! one non-blocking pool dispatch. While the pool crunches, the
+//! dispatcher parks on the batch and wakes at a fixed cadence to pump the
+//! ring, so admission never stalls behind a running batch.
 //!
 //! Every request is stamped at admit, dispatch and complete; the three
 //! deltas (queueing delay, service time, sojourn) land in per-tenant
@@ -593,9 +594,13 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
             continue;
         }
         idle = 0;
-        execute(shared, picked, || {
-            st.pump(shared, discipline);
-        });
+        execute(
+            shared,
+            picked,
+            Some(&mut || {
+                st.pump(shared, discipline);
+            }),
+        );
     }
 }
 
@@ -773,7 +778,7 @@ impl LoopServer {
             return Vec::new();
         }
         let ids: Vec<(usize, u64)> = picked.iter().map(|a| (a.req.tenant, a.id)).collect();
-        execute(&self.shared, picked, || {});
+        execute(&self.shared, picked, None);
         ids
     }
 

@@ -1,10 +1,12 @@
 //! Robustness integration tests: panic isolation inside fused batches,
-//! deadline expiry and predictive shedding, pool supervision, and the
-//! admission ring's push-versus-shutdown-drain race.
+//! deadline expiry and predictive shedding, pool supervision, the
+//! admission ring's push-versus-shutdown-drain race, and admission
+//! draining while the dispatcher is parked on a long batch.
 //!
-//! CI runs the `panic_` and `supervisor_` families by name in release
-//! mode — they are the tests that would catch a containment or restart
-//! race, and those only mean anything under optimized codegen.
+//! CI runs the `panic_`, `supervisor_` and `admission_` families by name
+//! in release mode — they are the tests that would catch a containment,
+//! restart or pump-cadence race, and those only mean anything under
+//! optimized codegen.
 
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
@@ -466,4 +468,57 @@ fn server_shutdown_race_keeps_the_ledger_exact() {
         );
         assert_eq!(snap.failed + snap.expired, 0, "seed {seed}");
     }
+}
+
+/// Admission never blocks on execution (DESIGN §12), pinned to the
+/// dispatcher's timed-park cadence: while one long `Spin` request holds
+/// the pool, the parked dispatcher must keep waking to pump the
+/// admission ring. Three times the ring's 16 slots are admitted in
+/// bursts of 8 during that one batch; a dispatcher that only woke at
+/// batch completion would shed from the third burst on.
+#[test]
+fn admission_never_blocks_on_a_long_batch() {
+    const BURSTS: u64 = 6;
+    const BURST: u64 = 8;
+    let pool = Arc::new(Pool::new(2));
+    let server = LoopServer::builder(pool)
+        .tenant("t")
+        .queue_capacity(16)
+        .build();
+    let long = LoopRequest {
+        tenant: 0,
+        kernel: ServeKernel::Spin { work: 64 },
+        n: 1 << 22,
+        phases: 1,
+        policy: ServePolicy::Afs,
+        deadline: None,
+    };
+    assert!(server.admit(long).is_accepted());
+    while server.serve_snapshot().dispatches == 0 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    for burst in 0..BURSTS {
+        for _ in 0..BURST {
+            assert!(
+                server.admit(req(0, 64, 1)).is_accepted(),
+                "burst {burst}: admission shed while the long batch ran"
+            );
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mid = server.serve_snapshot();
+    assert_eq!(
+        (mid.dispatches, mid.completed),
+        (1, 0),
+        "the long request finished before admission outran the ring; lengthen it"
+    );
+    server.drain();
+    let snap = server.shutdown();
+    let admitted = 1 + BURSTS * BURST;
+    assert_eq!(snap.shed_queue_full, 0);
+    assert_eq!(snap.shed_total(), 0);
+    assert_eq!(snap.admitted, admitted);
+    assert_eq!(snap.completed, admitted, "every admitted request ran once");
+    assert_eq!(snap.failed + snap.expired + snap.timed_out, 0);
+    assert_eq!(snap.tenants[0].sojourn_ns.samples, admitted);
 }
