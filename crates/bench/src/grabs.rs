@@ -35,6 +35,7 @@ use afs_core::prelude::*;
 use afs_metrics::{HostInfo, MetricsRegistry};
 use afs_runtime::source::{AfsSource, FetchAddSource, LockedAfsSource, LockedSource, WorkSource};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema version of `BENCH_grabs.json`: the workspace-wide constant (see
@@ -388,7 +389,7 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
         (
             "SS",
             "mutex",
-            Box::new(|n, p| Box::new(LockedSource::new(SelfSched::new().begin_loop(n, p)))),
+            Box::new(|n, p| Box::new(LockedSource::new(Arc::new(SelfSched::new()), n, p))),
             ss_n,
             1,
         ),
@@ -402,7 +403,7 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
         (
             "CSS(16)",
             "mutex",
-            Box::new(|n, p| Box::new(LockedSource::new(ChunkSelf::new(16).begin_loop(n, p)))),
+            Box::new(|n, p| Box::new(LockedSource::new(Arc::new(ChunkSelf::new(16)), n, p))),
             css_n,
             1,
         ),
@@ -416,7 +417,7 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
         (
             "GSS",
             "mutex",
-            Box::new(|n, p| Box::new(LockedSource::new(Gss::new().begin_loop(n, p)))),
+            Box::new(|n, p| Box::new(LockedSource::new(Arc::new(Gss::new()), n, p))),
             afs_n,
             afs_drains,
         ),

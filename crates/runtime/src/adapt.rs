@@ -186,6 +186,9 @@ pub struct AdaptController {
     /// Consecutive no-change observations (the settle streak).
     settle: AtomicU64,
     inner: Mutex<Inner>,
+    /// Per-worker iteration totals buffer for [`Self::observe_registry`],
+    /// kept so a phase-boundary observation does not allocate.
+    iters_buf: Mutex<Vec<u64>>,
 }
 
 impl AdaptController {
@@ -215,6 +218,7 @@ impl AdaptController {
             decisions: AtomicU64::new(0),
             settle: AtomicU64::new(0),
             inner: Mutex::new(Inner::default()),
+            iters_buf: Mutex::new(Vec::with_capacity(p)),
         }
     }
 
@@ -272,7 +276,7 @@ impl AdaptController {
     /// Convenience: observes a registry's current totals (see
     /// [`AdaptObservation::from_registry`]).
     pub fn observe_registry(&self, reg: &MetricsRegistry) -> Tune {
-        let mut buf = Vec::with_capacity(reg.workers());
+        let mut buf = self.iters_buf.lock().unwrap_or_else(|p| p.into_inner());
         let obs = AdaptObservation::from_registry(reg, &mut buf);
         self.observe(obs)
     }

@@ -14,7 +14,7 @@
 //! payload — comes back from [`try_parallel_for`] / [`try_parallel_phases`]
 //! (the non-`try` forms re-raise it via `resume_unwind`).
 
-use crate::adapt::AdaptController;
+use crate::adapt::{AdaptController, Tune};
 use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
 use crate::pool::{BarrierKind, Pool};
 use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkSource};
@@ -25,9 +25,8 @@ use afs_core::policy::{Grab, QueueTopology, Scheduler};
 use afs_core::schedulers::affinity::KParam;
 use afs_metrics::{MetricsRegistry, WorkerCounters};
 use afs_trace::{EventKind, TraceSink};
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,7 +42,7 @@ pub struct RuntimeScheduler {
 
 enum Kind {
     /// Drive any core scheduler under its (single) queue lock.
-    Locked(Box<dyn Scheduler>),
+    Locked(Arc<dyn Scheduler>),
     /// A strictly-monotone central counter (SS and fixed-size chunking):
     /// one `fetch_add` per grab, no lock.
     FetchAdd { chunk: u64 },
@@ -58,8 +57,8 @@ enum Kind {
     /// Distributed AFS whose subdivision k and grab-ahead b are re-tuned
     /// at every phase boundary by an [`AdaptController`] reading the
     /// pool's counter deltas. The source is built once per (pool, region
-    /// stream) and *re-armed* between phases — queue words, bases and
-    /// stashes are reused, never reallocated.
+    /// stream) and re-armed with the new (k, b) between phases and
+    /// regions.
     Adaptive {
         ctl: Arc<AdaptController>,
         cached: Mutex<Option<AdaptiveCache>>,
@@ -78,17 +77,70 @@ struct AdaptiveCache {
     metrics: Arc<MetricsRegistry>,
 }
 
-/// A phase handle onto the region-lived adaptive source.
-struct SharedSource(Arc<AfsSource>);
+/// The work source of one parallel region: built when the region starts
+/// and re-armed in place at every later phase boundary, so a phase turn
+/// neither allocates nor moves the queue words to fresh cache lines.
+enum RegionSource<'a> {
+    Owned(Box<dyn WorkSource>),
+    /// The adaptive policy's cached source; each re-arm first asks `ctl`
+    /// for the next phase's (k, b).
+    Adaptive {
+        src: Arc<AfsSource>,
+        ctl: &'a AdaptController,
+    },
+}
 
-impl WorkSource for SharedSource {
-    fn next(&self, worker: usize) -> Option<Grab> {
-        self.0.next(worker)
+impl RegionSource<'_> {
+    fn get(&self) -> &dyn WorkSource {
+        match self {
+            RegionSource::Owned(src) => &**src,
+            RegionSource::Adaptive { src, .. } => &**src,
+        }
     }
 
-    fn warm(&self, worker: usize) {
-        self.0.warm(worker);
+    /// Re-arms the source for the next phase of `n` iterations; see
+    /// [`WorkSource::rearm`] for the exclusive window this must run in.
+    /// `lane` is the trace lane of the calling thread.
+    fn rearm(
+        &self,
+        n: u64,
+        trace: Option<&Arc<TraceSink>>,
+        metrics: &MetricsRegistry,
+        lane: usize,
+    ) {
+        match self {
+            RegionSource::Owned(src) => src.rearm(n),
+            RegionSource::Adaptive { src, ctl } => {
+                let tune = retune(ctl, trace, metrics, lane);
+                src.rearm_with(n, tune.k, tune.b);
+            }
+        }
     }
+}
+
+/// Phase boundary of the adaptive policy: reads the finished phase's
+/// counter deltas, decides the next phase's (k, b), and surfaces the
+/// controller state to the metrics layer (and the trace, on a decision).
+fn retune(
+    ctl: &AdaptController,
+    trace: Option<&Arc<TraceSink>>,
+    metrics: &MetricsRegistry,
+    lane: usize,
+) -> Tune {
+    let tune = ctl.observe_registry(metrics);
+    metrics.record_sched_tune(tune.k, tune.b as u64, ctl.decisions(), ctl.settled());
+    if tune.changed {
+        if let Some(sink) = trace {
+            sink.record(
+                lane,
+                EventKind::SchedTune {
+                    k: tune.k as u32,
+                    b: tune.b as u32,
+                },
+            );
+        }
+    }
+    tune
 }
 
 impl RuntimeScheduler {
@@ -231,7 +283,7 @@ impl RuntimeScheduler {
     /// Any `afs-core` scheduler, driven under a single queue lock.
     pub fn from_core(sched: impl Scheduler + 'static) -> Self {
         Self {
-            kind: Kind::Locked(Box::new(sched)),
+            kind: Kind::Locked(Arc::new(sched)),
         }
     }
 
@@ -277,22 +329,22 @@ impl RuntimeScheduler {
         }
     }
 
-    /// Builds (or, for the adaptive policy, re-tunes and re-arms) the
-    /// phase's work source. `lane` is the trace lane of the thread running
-    /// this call — the turn-taking worker in the fused driver, lane 0 for
-    /// the serial call sites (coordinator between rendezvous, region
-    /// setup) where worker 0 is provably idle.
-    fn make_source(
+    /// Builds the work source of a region whose first phase has `n`
+    /// iterations; later phases re-arm it ([`RegionSource::rearm`]). The
+    /// adaptive policy re-tunes and re-arms its cached source instead when
+    /// the cache fits this pool. `lane` is the trace lane of the calling
+    /// thread — lane 0 at region setup, where worker 0 is provably idle.
+    fn region_source(
         &self,
         n: u64,
         p: usize,
         trace: Option<&Arc<TraceSink>>,
         metrics: &Arc<MetricsRegistry>,
         lane: usize,
-    ) -> Box<dyn WorkSource + '_> {
-        match &self.kind {
+    ) -> RegionSource<'_> {
+        let src: Box<dyn WorkSource> = match &self.kind {
             Kind::Locked(s) => {
-                let src = LockedSource::new(s.begin_loop(n, p));
+                let src = LockedSource::new(Arc::clone(s), n, p);
                 Box::new(match trace {
                     Some(sink) => src.with_trace(Arc::clone(sink)),
                     None => src,
@@ -319,30 +371,15 @@ impl RuntimeScheduler {
                 })
             }
             Kind::Adaptive { ctl, cached } => {
-                // Phase boundary: read the finished phase's counter deltas,
-                // decide the next phase's (k, b), and surface the controller
-                // state to the metrics layer.
-                let tune = ctl.observe_registry(metrics);
-                metrics.record_sched_tune(tune.k, tune.b as u64, ctl.decisions(), ctl.settled());
-                if tune.changed {
-                    if let Some(sink) = trace {
-                        sink.record(
-                            lane,
-                            EventKind::SchedTune {
-                                k: tune.k as u32,
-                                b: tune.b as u32,
-                            },
-                        );
-                    }
-                }
+                let tune = retune(ctl, trace, metrics, lane);
                 let mut slot = cached.lock();
                 let reuse = slot.as_ref().is_some_and(|c| {
                     c.p == p && c.traced == trace.is_some() && Arc::ptr_eq(&c.metrics, metrics)
                 });
-                if reuse {
-                    let cache = slot.as_ref().unwrap();
-                    cache.src.rearm(n, tune.k, tune.b);
-                    Box::new(SharedSource(Arc::clone(&cache.src)))
+                let src = if reuse {
+                    let src = &slot.as_ref().unwrap().src;
+                    src.rearm_with(n, tune.k, tune.b);
+                    Arc::clone(src)
                 } else {
                     let src = AfsSource::new(n, p, tune.k)
                         .with_grab_ahead(tune.b)
@@ -357,11 +394,13 @@ impl RuntimeScheduler {
                         traced: trace.is_some(),
                         metrics: Arc::clone(metrics),
                     });
-                    Box::new(SharedSource(src))
-                }
+                    src
+                };
+                return RegionSource::Adaptive { src, ctl };
             }
             Kind::Static => Box::new(StaticSource::new(n, p)),
-        }
+        };
+        RegionSource::Owned(src)
     }
 
     fn queues(&self, p: usize) -> usize {
@@ -416,14 +455,16 @@ where
 /// phases (the paper's parallel-loop-inside-sequential-loop structure).
 ///
 /// Phase `ph` has `len_of(ph)` iterations; `body(ph, i)` is invoked exactly
-/// once per (phase, iteration). A fresh scheduler loop-state is created per
-/// phase, so deterministic policies re-create the same assignment each
-/// phase — which is what preserves affinity.
+/// once per (phase, iteration). The region builds one work source and
+/// re-arms it at every phase boundary ([`WorkSource::rearm`]), so each
+/// phase starts from the scheduler's initial state — deterministic policies
+/// re-create the same assignment each phase, which is what preserves
+/// affinity — without a per-phase allocation.
 ///
 /// On a pool with the (default) spin barrier the whole nest is dispatched
 /// to the workers **once**: between phases the workers pass a
-/// [`crate::barrier::SenseBarrier`], and the last worker to arrive builds
-/// the next phase's work source before releasing the others, so the
+/// [`crate::barrier::SenseBarrier`], and the last worker to arrive re-arms
+/// the work source for the next phase before releasing the others, so the
 /// coordinator thread is out of the per-phase loop entirely. On a condvar
 /// pool every phase is a full coordinator rendezvous — the pre-rework
 /// protocol, kept as the differential/benchmark baseline.
@@ -502,8 +543,8 @@ impl RegionFailure {
         }
     }
 
-    /// Records a driver-internal failure (the next phase's source cannot be
-    /// built); always halts — there is nothing left to schedule.
+    /// Records a driver-internal failure (the source cannot be re-armed for
+    /// the next phase); always halts — there is nothing left to schedule.
     fn record_fatal(&self, worker: usize, phase: usize, payload: Box<dyn std::any::Any + Send>) {
         {
             let mut slot = self.slot.lock();
@@ -652,7 +693,7 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
 }
 
 /// The pre-rework driver: one coordinator rendezvous (`Pool::run`) per
-/// phase, with the next phase's source built serially in between.
+/// phase, with the region's source re-armed serially in between.
 fn per_phase_rendezvous<F, L>(
     pool: &Pool,
     phases: usize,
@@ -672,11 +713,20 @@ where
     let deadline = pool.phase_deadline();
     let mut total = LoopMetrics::new(p, policy.queues(p));
     let region_start = Instant::now();
+    let mut source: Option<RegionSource> = None;
     for phase in 0..phases {
         if region.halted() {
             break;
         }
-        let source = policy.make_source(len_of(phase), p, trace, &registry, 0);
+        let n = len_of(phase);
+        let source = match source.take() {
+            Some(src) => {
+                src.rearm(n, trace, &registry, 0);
+                source.insert(src)
+            }
+            None => source.insert(policy.region_source(n, p, trace, &registry, 0)),
+        }
+        .get();
         let phase_metrics = Mutex::new(LoopMetrics::new(p, policy.queues(p)));
         let phase_start = Instant::now();
         let ran = pool.try_run(|worker| {
@@ -690,7 +740,7 @@ where
             drain_phase(
                 worker,
                 phase,
-                &*source,
+                source,
                 &mut local,
                 counters,
                 trace,
@@ -730,22 +780,11 @@ fn flag_phase_error(pool: &Pool, e: PhaseError) -> PhaseError {
     e
 }
 
-/// A per-phase work-source slot for the fused driver. Plain memory,
-/// synchronized by the [`crate::barrier::SenseBarrier`]: slot `ph + 1` is
-/// written only inside the barrier's turn closure (all workers arrived,
-/// none released — exclusive by construction) and read only after the
-/// release, which happens-after the write.
-struct SourceSlot<'a>(UnsafeCell<Option<Box<dyn WorkSource + 'a>>>);
-
-// SAFETY: see the access protocol above — the barrier orders every write
-// exclusively before all reads of the same slot.
-unsafe impl Sync for SourceSlot<'_> {}
-
 /// The fused driver: one `Pool::run` for the whole nest; workers chain
 /// from phase to phase through a decentralized sense-reversing barrier,
-/// the last arriver building the next source (so cross-phase scheduler
-/// state such as AFS-LE's history sees every update of the finished
-/// phase).
+/// the last arriver re-arming the region's source (so cross-phase
+/// scheduler state such as AFS-LE's history sees every update of the
+/// finished phase).
 fn fused_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -769,11 +808,13 @@ where
     if phases == 0 {
         return Ok(total.into_inner());
     }
-    let slots: Vec<SourceSlot> = (0..phases)
-        .map(|_| SourceSlot(UnsafeCell::new(None)))
-        .collect();
-    // SAFETY: no worker exists yet; the coordinator owns slot 0.
-    unsafe { *slots[0].0.get() = Some(policy.make_source(len_of(0), p, trace, &registry, 0)) };
+    let source = policy.region_source(len_of(0), p, trace, &registry, 0);
+    // The phase the source is armed for. Re-arming stops once the region
+    // halts, so workers skip every later phase — but still take every
+    // barrier below, so the party never loses a member. Written only in
+    // the barrier turn; the release orders it (and the re-arm) before
+    // every read of the next phase.
+    let armed = AtomicUsize::new(0);
     let barrier = pool.phase_barrier();
     // Phase boundaries happen inside barrier turn closures (exclusive, all
     // workers arrived), so the turn-taker timestamps them: `prev_ns` holds
@@ -788,23 +829,17 @@ where
         }
         let mut local = LoopMetrics::new(p, queues);
         let counters = registry.worker(worker);
+        let src = source.get();
         for phase in 0..phases {
-            // SAFETY: slot `phase` was written before this worker got here
-            // (slot 0 before the pool ran; later slots inside the barrier
-            // turn that released this worker) and no one writes it again.
-            // `None` only when the region halted before the slot was built
-            // — the phase is skipped, but the worker still takes every
-            // barrier below, so the party never loses a member.
-            let source = unsafe { (*slots[phase].0.get()).as_deref() };
-            if let Some(source) = source {
+            if armed.load(Ordering::Relaxed) == phase {
                 // First-touch worker-owned scheduler state (stash heap
                 // blocks, queue words) from this worker's core before the
                 // first grab — see `WorkSource::warm`.
-                source.warm(worker);
+                src.warm(worker);
                 drain_phase(
                     worker,
                     phase,
-                    source,
+                    src,
                     &mut local,
                     counters,
                     trace,
@@ -825,17 +860,17 @@ where
                         registry.record_deadline_miss();
                     }
                     if !region.halted() {
-                        // SAFETY: the turn closure runs on exactly one
-                        // worker, after every worker arrived and before any
-                        // is released — exclusive access to the next slot.
+                        // The turn closure runs on exactly one worker, after
+                        // every worker's last grab and before any is
+                        // released: the exclusive window `rearm` needs.
                         // Guarded so a panicking scheduler cannot unwind
-                        // into the barrier: the error is recorded, the slot
-                        // stays `None`, and the release proceeds.
-                        let built = catch_unwind(AssertUnwindSafe(|| {
-                            policy.make_source(len_of(phase + 1), p, trace, &registry, worker)
+                        // into the barrier: the error is recorded, the
+                        // phase stays unarmed, and the release proceeds.
+                        let rearmed = catch_unwind(AssertUnwindSafe(|| {
+                            source.rearm(len_of(phase + 1), trace, &registry, worker)
                         }));
-                        match built {
-                            Ok(src) => unsafe { *slots[phase + 1].0.get() = Some(src) },
+                        match rearmed {
+                            Ok(()) => armed.store(phase + 1, Ordering::Relaxed),
                             Err(payload) => region.record_fatal(worker, phase + 1, payload),
                         }
                     }
@@ -896,6 +931,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
     fn all_policies() -> Vec<RuntimeScheduler> {
@@ -1073,7 +1109,8 @@ mod tests {
             "adaptive dropped or duplicated iterations"
         );
         assert_eq!(m.total_iters(), n * phases as u64);
-        // One controller observation per phase boundary (source build).
+        // One controller observation per phase: at region start, then at
+        // every re-arm.
         assert_eq!(ctl.phases(), phases as u64);
         // The decision is surfaced through the pool's metrics snapshot.
         let sched = pool
@@ -1131,5 +1168,131 @@ mod tests {
         let mf = parallel_phases(&pool, 3, |_| 300, &fixed, |_, _| {});
         assert_eq!(ma.iters_per_worker, mf.iters_per_worker);
         assert_eq!(ma.sync, mf.sync);
+    }
+
+    /// One deterministic P = 1 drive of `policy` on a `kind` pool: a nest
+    /// whose phase lengths change every phase (empty, single-iteration and
+    /// Gauss-style decreasing phases), optionally poisoned by a body panic
+    /// at phase 4 under `panic` — the fault tests' halted and drained
+    /// regions. Returns `[central, local, remote, free, iters, failed
+    /// phase + 1 (0 = none), bodies run, trace events]`, with the grab
+    /// counts of a successful region checked against its `LoopMetrics`.
+    /// Park events are left out of the count: whether a lone worker parks
+    /// between dispatches depends on timing, not on the scheduler.
+    fn p1_drive(
+        policy: &RuntimeScheduler,
+        kind: BarrierKind,
+        panic: Option<PanicPolicy>,
+    ) -> [u64; 8] {
+        const LENS: [u64; 9] = [300, 0, 7, 1, 299, 64, 63, 2, 300];
+        let sink = Arc::new(TraceSink::new(1));
+        let mut builder = Pool::builder(1).barrier(kind).trace(Arc::clone(&sink));
+        if let Some(pp) = panic {
+            builder = builder
+                .panic_policy(pp)
+                .faults(FaultPlan::new(1).with_panic_at(0, 4, 10));
+        }
+        let pool = builder.build();
+        let ran = AtomicU64::new(0);
+        let res = try_parallel_phases(
+            &pool,
+            LENS.len(),
+            |ph| LENS[ph],
+            policy,
+            |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        let t = pool.metrics().totals();
+        let grabs = [
+            t.central_grabs,
+            t.local_grabs,
+            t.remote_grabs,
+            t.free_grabs,
+            t.iters,
+        ];
+        if let Ok(m) = &res {
+            let s = &m.sync;
+            assert_eq!(
+                [s.central, s.local, s.remote, s.free, m.total_iters()],
+                grabs
+            );
+        }
+        let failed = res.as_ref().err().map_or(0, |e| e.phase() as u64 + 1);
+        drop(pool);
+        let events = sink
+            .events(0)
+            .iter()
+            .filter(|e| !matches!(e.kind, EventKind::BarrierPark { .. }))
+            .count() as u64;
+        let [c, l, r, f, i] = grabs;
+        [c, l, r, f, i, failed, ran.load(Ordering::Relaxed), events]
+    }
+
+    /// The policies of the driver-level re-arm differential: every
+    /// `all_policies()` entry plus a frozen adaptive controller.
+    fn rearm_policies() -> Vec<RuntimeScheduler> {
+        let frozen = Arc::new(AdaptController::with_initial(1, 1, 2));
+        frozen.freeze();
+        let mut v = all_policies();
+        v.push(RuntimeScheduler::adaptive_with(frozen));
+        v
+    }
+
+    /// One `p1_drive` digest per scenario.
+    type Digests = [[u64; 8]; 3];
+
+    /// `p1_drive` digests of `rearm_policies()`, in order, recorded on the
+    /// drivers as they were when every phase built a fresh source: per
+    /// policy, the fused driver's digests (spin and futex pools agreed),
+    /// then the condvar driver's, each for the clean, `SkipRemaining` and
+    /// `Drain` scenarios.
+    #[rustfmt::skip]
+    const REARM_GOLDEN: [(&str, Digests, Digests); 13] = [
+        ("STATIC", [[0, 0, 0, 8, 1036, 0, 1036, 59], [0, 0, 0, 4, 318, 5, 318, 34], [0, 0, 0, 8, 1035, 5, 1035, 59]], [[0, 0, 0, 8, 1036, 0, 1036, 59], [0, 0, 0, 4, 318, 5, 318, 30], [0, 0, 0, 8, 1035, 5, 1035, 59]]),
+        ("SS", [[1036, 0, 0, 0, 1036, 0, 1036, 4171], [319, 0, 0, 0, 318, 5, 318, 1294], [1036, 0, 0, 0, 1035, 5, 1035, 4171]], [[1036, 0, 0, 0, 1036, 0, 1036, 4171], [319, 0, 0, 0, 318, 5, 318, 1290], [1036, 0, 0, 0, 1035, 5, 1035, 4171]]),
+        ("GSS", [[8, 0, 0, 0, 1036, 0, 1036, 59], [4, 0, 0, 0, 318, 5, 318, 34], [8, 0, 0, 0, 1035, 5, 1035, 59]], [[8, 0, 0, 0, 1036, 0, 1036, 59], [4, 0, 0, 0, 318, 5, 318, 30], [8, 0, 0, 0, 1035, 5, 1035, 59]]),
+        ("FACTORING", [[46, 0, 0, 0, 1036, 0, 1036, 211], [14, 0, 0, 0, 318, 5, 318, 74], [46, 0, 0, 0, 1035, 5, 1035, 211]], [[46, 0, 0, 0, 1036, 0, 1036, 211], [14, 0, 0, 0, 318, 5, 318, 70], [46, 0, 0, 0, 1035, 5, 1035, 211]]),
+        ("TRAPEZOID", [[20, 0, 0, 0, 1036, 0, 1036, 107], [7, 0, 0, 0, 318, 5, 318, 46], [20, 0, 0, 0, 1035, 5, 1035, 107]], [[20, 0, 0, 0, 1036, 0, 1036, 107], [7, 0, 0, 0, 318, 5, 318, 42], [20, 0, 0, 0, 1035, 5, 1035, 107]]),
+        ("MOD-FACTORING", [[46, 0, 0, 0, 1036, 0, 1036, 211], [14, 0, 0, 0, 318, 5, 318, 74], [46, 0, 0, 0, 1035, 5, 1035, 211]], [[46, 0, 0, 0, 1036, 0, 1036, 211], [14, 0, 0, 0, 318, 5, 318, 70], [46, 0, 0, 0, 1035, 5, 1035, 211]]),
+        ("AFS", [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 34], [0, 8, 0, 0, 1035, 5, 1035, 59]], [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 30], [0, 8, 0, 0, 1035, 5, 1035, 59]]),
+        ("AFS(k=2)", [[0, 46, 0, 0, 1036, 0, 1036, 211], [0, 14, 0, 0, 318, 5, 318, 74], [0, 46, 0, 0, 1035, 5, 1035, 211]], [[0, 46, 0, 0, 1036, 0, 1036, 211], [0, 14, 0, 0, 318, 5, 318, 70], [0, 46, 0, 0, 1035, 5, 1035, 211]]),
+        ("AFS-LE", [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 34], [0, 8, 0, 0, 1035, 5, 1035, 59]], [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 30], [0, 8, 0, 0, 1035, 5, 1035, 59]]),
+        ("ADAPTIVE", [[0, 37, 0, 0, 1036, 0, 1036, 177], [0, 25, 0, 0, 318, 5, 318, 119], [0, 37, 0, 0, 1035, 5, 1035, 177]], [[0, 90, 0, 0, 1036, 0, 1036, 390], [0, 23, 0, 0, 318, 5, 318, 107], [0, 90, 0, 0, 1035, 5, 1035, 390]]),
+        ("CSS(8)", [[133, 0, 0, 0, 1036, 0, 1036, 559], [42, 0, 0, 0, 318, 5, 318, 186], [133, 0, 0, 0, 1035, 5, 1035, 559]], [[133, 0, 0, 0, 1036, 0, 1036, 559], [42, 0, 0, 0, 318, 5, 318, 182], [133, 0, 0, 0, 1035, 5, 1035, 559]]),
+        ("AGSS(2,2)", [[41, 0, 0, 0, 1036, 0, 1036, 191], [13, 0, 0, 0, 318, 5, 318, 70], [41, 0, 0, 0, 1035, 5, 1035, 191]], [[41, 0, 0, 0, 1036, 0, 1036, 191], [13, 0, 0, 0, 318, 5, 318, 66], [41, 0, 0, 0, 1035, 5, 1035, 191]]),
+        ("ADAPTIVE", [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 34], [0, 8, 0, 0, 1035, 5, 1035, 59]], [[0, 8, 0, 0, 1036, 0, 1036, 59], [0, 4, 0, 0, 318, 5, 318, 30], [0, 8, 0, 0, 1035, 5, 1035, 59]]),
+    ];
+
+    #[test]
+    fn rearm_drive_matches_the_per_phase_build() {
+        let scenarios = [
+            None,
+            Some(PanicPolicy::SkipRemaining),
+            Some(PanicPolicy::Drain),
+        ];
+        for (i, (name, fused, condvar)) in REARM_GOLDEN.iter().enumerate() {
+            for (s, &scenario) in scenarios.iter().enumerate() {
+                for (kind, want) in [
+                    (BarrierKind::Spin, fused[s]),
+                    (BarrierKind::Futex, fused[s]),
+                    (BarrierKind::Condvar, condvar[s]),
+                ] {
+                    let policy = &rearm_policies()[i];
+                    assert_eq!(policy.name(), *name);
+                    let (mut got, mut want) = (p1_drive(policy, kind, scenario), want);
+                    if policy.controller().is_some_and(|c| !c.is_frozen()) {
+                        // A live controller steers by barrier wait outcomes
+                        // (spin or park), whose mix depends on timing: only
+                        // coverage and failure are deterministic.
+                        for d in [&mut got, &mut want] {
+                            d[..4].fill(0);
+                            d[7] = 0;
+                        }
+                    }
+                    assert_eq!(got, want, "{name} #{i} on {kind:?}, panic {scenario:?}");
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,9 @@
 //!   faithful implementation: the core state machine under one mutex.
 //! * [`LockedAfsSource`] — the original mutex-per-queue AFS, kept as the
 //!   differential-testing and benchmark baseline for the lock-free path.
+//!
+//! Every source re-arms in place ([`WorkSource::rearm`]), so a parallel
+//! region builds one source and reuses it for all of its phases.
 
 use crate::inject::YieldInject;
 use crate::pad::CachePadded;
@@ -25,7 +28,7 @@ use afs_core::chunking::{
     afs_local_chunk, afs_steal_chunk, pack_queue, packed_queue_len, packed_take_back,
     packed_take_front, static_partition, unpack_queue,
 };
-use afs_core::policy::{AccessKind, Grab, LoopState};
+use afs_core::policy::{AccessKind, Grab, LoopState, Scheduler};
 use afs_core::range::IterRange;
 use afs_metrics::MetricsRegistry;
 use afs_trace::{EventKind, TraceSink};
@@ -46,19 +49,36 @@ pub trait WorkSource: Sync {
     /// node that will use it, and coordinator-written queue words are
     /// pulled into the local cache before the timed region. Default: no-op.
     fn warm(&self, _worker: usize) {}
+
+    /// Re-arms the source for a fresh loop of `n` iterations over the same
+    /// workers, reusing its allocations: afterwards grabs follow exactly
+    /// the sequence a source freshly built for `n` would hand out, whether
+    /// the previous loop was drained or abandoned half-way.
+    ///
+    /// Must be called only from the drivers' exclusive phase-boundary
+    /// window — after every worker's final grab of the previous phase and
+    /// before any worker's first grab of the next. The fused driver re-arms
+    /// inside the phase barrier's turn closure, whose release orders the
+    /// re-arm's stores before every grab of the new phase.
+    fn rearm(&self, n: u64);
 }
 
 /// Any core scheduler state machine driven under its queue lock.
 pub struct LockedSource {
+    sched: Arc<dyn Scheduler>,
+    p: usize,
     state: Mutex<Box<dyn LoopState>>,
     trace: Option<Arc<TraceSink>>,
 }
 
 impl LockedSource {
-    /// Wraps a per-loop state machine.
-    pub fn new(state: Box<dyn LoopState>) -> Self {
+    /// Starts `sched`'s state machine for a loop of `n` iterations over
+    /// `p` workers.
+    pub fn new(sched: Arc<dyn Scheduler>, n: u64, p: usize) -> Self {
         Self {
-            state: Mutex::new(state),
+            state: Mutex::new(sched.begin_loop(n, p)),
+            sched,
+            p,
             trace: None,
         }
     }
@@ -75,6 +95,13 @@ impl WorkSource for LockedSource {
         // The single central queue is queue 0 in lock-wait events.
         lock_traced(&self.state, self.trace.as_deref(), worker, 0).next(worker)
     }
+
+    /// Swaps in a fresh state machine: one `begin_loop` (and its box) per
+    /// loop, as the core scheduler defines it — which is also what carries
+    /// stateful schedulers' history from one loop to the next.
+    fn rearm(&self, n: u64) {
+        *self.state.lock() = self.sched.begin_loop(n, self.p);
+    }
 }
 
 /// A lock-free central queue for strictly-monotone chunk policies.
@@ -88,7 +115,10 @@ impl WorkSource for LockedSource {
 /// [`LockedSource`].
 pub struct FetchAddSource {
     cursor: CachePadded<AtomicU64>,
-    n: u64,
+    /// Loop length; atomic only so [`WorkSource::rearm`] can reset it.
+    /// Relaxed is enough: the phase boundary that re-arms orders the store
+    /// before every grab of the next phase.
+    n: AtomicU64,
     chunk: u64,
 }
 
@@ -98,7 +128,7 @@ impl FetchAddSource {
         assert!(chunk >= 1);
         Self {
             cursor: CachePadded::new(AtomicU64::new(0)),
-            n,
+            n: AtomicU64::new(n),
             chunk,
         }
     }
@@ -111,14 +141,20 @@ impl WorkSource for FetchAddSource {
         // stays far from wrapping. AcqRel keeps grab acquisition ordered
         // with the previous holder's writes, like the mutex it replaces.
         let start = self.cursor.fetch_add(self.chunk, Ordering::AcqRel);
-        if start >= self.n {
+        let n = self.n.load(Ordering::Relaxed);
+        if start >= n {
             return None;
         }
         Some(Grab {
-            range: IterRange::new(start, (start + self.chunk).min(self.n)),
+            range: IterRange::new(start, (start + self.chunk).min(n)),
             queue: 0,
             access: AccessKind::Central,
         })
+    }
+
+    fn rearm(&self, n: u64) {
+        self.n.store(n, Ordering::Relaxed);
+        self.cursor.store(0, Ordering::Relaxed);
     }
 }
 
@@ -140,10 +176,10 @@ struct Stash(UnsafeCell<Vec<Grab>>);
 // sequential, so no two threads access one slot concurrently.
 unsafe impl Sync for Stash {}
 
-/// Per-queue partition bases, rewritten only by [`AfsSource::rearm`].
+/// Per-queue partition bases, rewritten only by [`AfsSource::rearm_with`].
 struct Bases(UnsafeCell<Vec<u64>>);
 
-// SAFETY: the bases vector is written only by `rearm`, which the drivers
+// SAFETY: the bases vector is written only by `rearm_with`, which the drivers
 // call exclusively at phase boundaries — after every worker's final grab of
 // the old phase and before any worker's first grab of the new one, with the
 // phase barrier's release edge ordering the write against both sides. All
@@ -171,7 +207,7 @@ pub struct AfsSource {
     words: Vec<CachePadded<AtomicU64>>,
     /// First iteration index of each queue's static partition.
     bases: Bases,
-    /// Local grab divisor (atomic so [`AfsSource::rearm`] can re-tune it
+    /// Local grab divisor (atomic so [`AfsSource::rearm_with`] can re-tune it
     /// between phases; plain loads elsewhere).
     k: AtomicU64,
     p: usize,
@@ -283,18 +319,13 @@ impl AfsSource {
         self.ahead.load(Ordering::Relaxed)
     }
 
-    /// Re-arms the source for a fresh loop of `n` iterations with a new
-    /// subdivision `k` and grab-ahead `batch`, reusing every allocation
-    /// (queue words, bases, stashes): the adaptive policy re-tunes between
-    /// phases without rebuilding the source.
-    ///
-    /// Must be called from the drivers' exclusive phase-boundary window —
-    /// after all workers' final grabs of the previous phase and before any
-    /// first grab of the next (the same window that builds fresh sources
-    /// for static policies).
-    pub fn rearm(&self, n: u64, k: u64, batch: usize) {
+    /// [`WorkSource::rearm`] with a new subdivision `k` and grab-ahead
+    /// `batch`: the adaptive policy re-tunes between phases without
+    /// rebuilding the source. Same exclusive phase-boundary contract; queue
+    /// words, bases and stashes are all reused.
+    pub fn rearm_with(&self, n: u64, k: u64, batch: usize) {
         assert!(k >= 1);
-        // SAFETY: see `Bases` — `rearm` runs exclusively at a phase
+        // SAFETY: see `Bases` — `rearm_with` runs exclusively at a phase
         // boundary, so no worker is reading the vector concurrently.
         let bases = unsafe { &mut *self.bases.0.get() };
         for (i, base) in bases.iter_mut().enumerate().take(self.p) {
@@ -541,6 +572,11 @@ impl WorkSource for AfsSource {
             }
         }
     }
+
+    /// Keeps the current `k` and grab-ahead batch.
+    fn rearm(&self, n: u64) {
+        self.rearm_with(n, self.k(), self.grab_ahead());
+    }
 }
 
 /// The original mutex-per-queue AFS: one lock + one atomic length per
@@ -643,11 +679,22 @@ impl WorkSource for LockedAfsSource {
             });
         }
     }
+
+    fn rearm(&self, n: u64) {
+        for (i, (q, len)) in self.queues.iter().zip(&self.lens).enumerate() {
+            let part = static_partition(n, self.p, i);
+            len.store(part.len(), Ordering::Relaxed);
+            *q.lock() = part;
+        }
+    }
 }
 
 /// Lock-free static partition: each worker claims its fixed range once.
 pub struct StaticSource {
-    n: u64,
+    /// Loop length; atomic only so [`WorkSource::rearm`] can reset it.
+    /// Relaxed is enough: the phase boundary that re-arms orders the store
+    /// before every grab of the next phase.
+    n: AtomicU64,
     p: usize,
     taken: Vec<CachePadded<AtomicU64>>,
 }
@@ -657,7 +704,7 @@ impl StaticSource {
     pub fn new(n: u64, p: usize) -> Self {
         assert!(p >= 1);
         Self {
-            n,
+            n: AtomicU64::new(n),
             p,
             taken: (0..p).map(|_| CachePadded::default()).collect(),
         }
@@ -669,12 +716,19 @@ impl WorkSource for StaticSource {
         if worker >= self.p || self.taken[worker].swap(1, Ordering::Relaxed) != 0 {
             return None;
         }
-        let range = static_partition(self.n, self.p, worker);
+        let range = static_partition(self.n.load(Ordering::Relaxed), self.p, worker);
         (!range.is_empty()).then_some(Grab {
             range,
             queue: worker,
             access: AccessKind::Free,
         })
+    }
+
+    fn rearm(&self, n: u64) {
+        self.n.store(n, Ordering::Relaxed);
+        for t in &self.taken {
+            t.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -685,8 +739,7 @@ mod tests {
 
     #[test]
     fn locked_source_drives_core_scheduler() {
-        let sched = Gss::new();
-        let src = LockedSource::new(sched.begin_loop(100, 4));
+        let src = LockedSource::new(Arc::new(Gss::new()), 100, 4);
         let mut total = 0;
         while let Some(g) = src.next(0) {
             total += g.range.len();
@@ -804,7 +857,7 @@ mod tests {
         let src = AfsSource::new(100, 1, 1).with_grab_ahead(1000);
         assert_eq!(src.grab_ahead(), MAX_GRAB_AHEAD);
         let src = AfsSource::new(100, 1, 1);
-        src.rearm(100, 1, 99);
+        src.rearm_with(100, 1, 99);
         assert_eq!(src.grab_ahead(), MAX_GRAB_AHEAD);
     }
 
@@ -821,7 +874,7 @@ mod tests {
             }
         }
         for (n, k, b) in [(300u64, 2u64, 1usize), (512, 4, 8), (7, 1, 3)] {
-            src.rearm(n, k, b);
+            src.rearm_with(n, k, b);
             assert_eq!((src.k(), src.grab_ahead()), (k, b.clamp(1, MAX_GRAB_AHEAD)));
             let fresh = AfsSource::new(n, 4, k).with_grab_ahead(b);
             for &w in &order {
@@ -844,7 +897,7 @@ mod tests {
         let p = 8;
         let src = AfsSource::new(n, p, p as u64);
         for round in 0..3 {
-            src.rearm(n, 1 << round, 1 + round as usize);
+            src.rearm_with(n, 1 << round, 1 + round as usize);
             let seen: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
             std::thread::scope(|s| {
                 for w in 0..p {

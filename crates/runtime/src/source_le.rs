@@ -62,25 +62,7 @@ impl AfsLeSource {
     /// covers `[0, n)` (otherwise the deterministic static assignment).
     pub fn new(n: u64, p: usize, k: u64, history: Arc<LeHistory>) -> Self {
         assert!(p >= 1 && k >= 1);
-        let prev = history.take_and_reset(p);
-        let total: u64 = prev.iter().flatten().map(|r| r.len()).sum();
-        let usable = prev.len() == p && total == n && prev.iter().flatten().all(|r| r.end <= n);
-        let queues: Vec<RangeQueue> = if usable {
-            prev.into_iter()
-                .map(|mut ranges| {
-                    ranges.sort_by_key(|r| r.start);
-                    let mut q = RangeQueue::new();
-                    for r in ranges {
-                        q.push_back(r);
-                    }
-                    q
-                })
-                .collect()
-        } else {
-            (0..p)
-                .map(|i| RangeQueue::from_range(static_partition(n, p, i)))
-                .collect()
-        };
+        let queues = assignment(n, p, &history);
         Self {
             lens: queues
                 .iter()
@@ -111,6 +93,31 @@ impl AfsLeSource {
             }
         }
         (best_len > 0).then_some(best)
+    }
+}
+
+/// The initial queues of one loop execution: the previous execution's
+/// record from `history` when it exactly covers `[0, n)`, otherwise the
+/// deterministic static assignment. Resets `history` for this execution.
+fn assignment(n: u64, p: usize, history: &LeHistory) -> Vec<RangeQueue> {
+    let prev = history.take_and_reset(p);
+    let total: u64 = prev.iter().flatten().map(|r| r.len()).sum();
+    let usable = prev.len() == p && total == n && prev.iter().flatten().all(|r| r.end <= n);
+    if usable {
+        prev.into_iter()
+            .map(|mut ranges| {
+                ranges.sort_by_key(|r| r.start);
+                let mut q = RangeQueue::new();
+                for r in ranges {
+                    q.push_back(r);
+                }
+                q
+            })
+            .collect()
+    } else {
+        (0..p)
+            .map(|i| RangeQueue::from_range(static_partition(n, p, i)))
+            .collect()
     }
 }
 
@@ -167,6 +174,16 @@ impl WorkSource for AfsLeSource {
                     access,
                 });
             }
+        }
+    }
+
+    /// Re-reads the history the finished execution recorded, exactly as
+    /// [`AfsLeSource::new`] would.
+    fn rearm(&self, n: u64) {
+        let queues = assignment(n, self.p, &self.history);
+        for ((slot, len), q) in self.queues.iter().zip(&self.lens).zip(queues) {
+            len.store(q.len(), Ordering::Relaxed);
+            *slot.lock() = q;
         }
     }
 }
