@@ -115,11 +115,12 @@ impl WorkSource for LockedSource {
 /// [`LockedSource`].
 pub struct FetchAddSource {
     cursor: CachePadded<AtomicU64>,
-    /// Loop length; atomic only so [`WorkSource::rearm`] can reset it.
-    /// Relaxed is enough: the phase boundary that re-arms orders the store
-    /// before every grab of the next phase.
+    /// Loop length and chunk size; atomic only so [`WorkSource::rearm`] and
+    /// [`FetchAddSource::rearm_with`] can reset them. Relaxed is enough:
+    /// the phase boundary that re-arms orders the stores before every grab
+    /// of the next phase.
     n: AtomicU64,
-    chunk: u64,
+    chunk: AtomicU64,
 }
 
 impl FetchAddSource {
@@ -129,8 +130,17 @@ impl FetchAddSource {
         Self {
             cursor: CachePadded::new(AtomicU64::new(0)),
             n: AtomicU64::new(n),
-            chunk,
+            chunk: AtomicU64::new(chunk),
         }
+    }
+
+    /// [`WorkSource::rearm`] with a new `chunk` size, so SS (`chunk = 1`)
+    /// and CSS(`chunk`) loops can share one source. Same exclusive
+    /// phase-boundary contract.
+    pub fn rearm_with(&self, n: u64, chunk: u64) {
+        assert!(chunk >= 1);
+        self.chunk.store(chunk, Ordering::Relaxed);
+        self.rearm(n);
     }
 }
 
@@ -140,13 +150,14 @@ impl WorkSource for FetchAddSource {
         // worker overshoots at most once after exhaustion, so the cursor
         // stays far from wrapping. AcqRel keeps grab acquisition ordered
         // with the previous holder's writes, like the mutex it replaces.
-        let start = self.cursor.fetch_add(self.chunk, Ordering::AcqRel);
+        let chunk = self.chunk.load(Ordering::Relaxed);
+        let start = self.cursor.fetch_add(chunk, Ordering::AcqRel);
         let n = self.n.load(Ordering::Relaxed);
         if start >= n {
             return None;
         }
         Some(Grab {
-            range: IterRange::new(start, (start + self.chunk).min(n)),
+            range: IterRange::new(start, (start + chunk).min(n)),
             queue: 0,
             access: AccessKind::Central,
         })

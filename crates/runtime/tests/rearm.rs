@@ -131,3 +131,33 @@ fn rearm_after_abandoned_phases_matches_fresh_sources() {
     differential(|j| j % 2 == 0);
     differential(|j| j % 2 == 1);
 }
+
+/// `FetchAddSource::rearm_with` resets the chunk as well as the length, so
+/// SS and CSS(c) loops can share one source: after every re-arm the grabs
+/// are exactly those of `FetchAddSource::new(n, chunk)`, whether the
+/// previous phase was drained or abandoned half-way, and whatever chunk
+/// it ran with.
+#[test]
+fn fetch_add_rearm_with_a_new_chunk_matches_fresh_sources() {
+    const CHUNKS: [u64; 10] = [1, 7, 16, 1, 3, 64, 1, 5, 2, 1000];
+    let patterns: [fn(usize) -> bool; 3] = [|_| false, |j| j % 2 == 0, |j| j % 2 == 1];
+    for half in patterns {
+        let rearmed = FetchAddSource::new(LENS[0], CHUNKS[0]);
+        for (j, (&n, &chunk)) in LENS.iter().zip(&CHUNKS).enumerate() {
+            if j > 0 {
+                rearmed.rearm_with(n, chunk);
+            }
+            let fresh = FetchAddSource::new(n, chunk);
+            let a = drive(&rearmed, n, half(j));
+            let b = drive(&fresh, n, half(j));
+            assert_eq!(
+                a, b,
+                "phase {j} (n = {n}, chunk = {chunk}) diverged after re-arm"
+            );
+            if !half(j) {
+                let covered: u64 = a.iter().map(|s| s.1.len()).sum();
+                assert_eq!(covered, n, "phase {j} did not cover its loop");
+            }
+        }
+    }
+}

@@ -16,6 +16,12 @@
 //! sojourn stamps *before* releasing the party, so a completed request's
 //! latency is visible the instant any thread observes its completion.
 //!
+//! Handing out work is cheap only if setting it up is (the paper's
+//! §2.2), so a steady-state batch builds no work source: the dispatcher
+//! reloads its last `Batch` in place, and every phase re-arms one of
+//! the batch's per-kind sources — unit 0 on the dispatcher before the
+//! dispatch, each later unit in the barrier turn slot before it.
+//!
 //! Panic containment: each worker drains each unit inside
 //! `catch_unwind`, so a loop body that panics (fault injection, a future
 //! closure kernel) poisons only its own request. The first panic wins a
@@ -25,8 +31,8 @@
 //! the request as failed instead of completed. Co-batched requests
 //! complete exactly-once, and the dispatcher thread never unwinds.
 
-use crate::request::OwnedSource;
-use crate::server::{Admitted, ServerShared};
+use crate::request::{Arm, Sources};
+use crate::server::{retire_expired, Admitted, ServerShared};
 use afs_runtime::{PhaseError, Pool, SenseBarrier, TryDispatchError};
 use afs_scope::ServeEventKind;
 use afs_trace::event::EventKind;
@@ -102,6 +108,11 @@ pub(crate) struct DispatchState {
     deficits: Vec<u64>,
     /// Round-robin cursor over tenants.
     rr: usize,
+    /// The current pick. Swapped with the reloaded batch's request
+    /// vector, so the two buffers ping-pong without reallocating.
+    picked: Vec<Admitted>,
+    /// The last executed batch, kept to be reloaded by the next dispatch.
+    spare: Option<Arc<Batch>>,
 }
 
 impl DispatchState {
@@ -111,6 +122,8 @@ impl DispatchState {
             fifos: (0..tenants).map(|_| VecDeque::new()).collect(),
             deficits: vec![0; tenants],
             rr: 0,
+            picked: Vec::new(),
+            spare: None,
         }
     }
 
@@ -134,11 +147,53 @@ impl DispatchState {
         moved
     }
 
-    /// Picks the next dispatch under `discipline`. Empty means nothing is
-    /// staged.
-    pub(crate) fn select(&mut self, discipline: Discipline) -> Vec<Admitted> {
+    /// Selects the next dispatch under `discipline`, stamps it dispatched
+    /// and loads it into a batch ready for the pool: the spare batch of the
+    /// last dispatch, reloaded in place, when nothing else still holds it
+    /// and it was built for the current pool (the supervisor may have
+    /// swapped pools since); otherwise a fresh one. `None` when nothing
+    /// live is staged.
+    pub(crate) fn next_batch(
+        &mut self,
+        shared: &Arc<ServerShared>,
+        discipline: Discipline,
+    ) -> Option<Arc<Batch>> {
+        self.select(discipline);
+        // A selected request whose deadline ran out in the queue retires
+        // as Expired right here, without costing a pool dispatch.
+        retire_expired(shared, &mut self.picked);
+        if self.picked.is_empty() {
+            return None;
+        }
+        let dispatch_ns = stamp_dispatch(shared, &self.picked);
+        let pool = shared.pool();
+        if let Some(mut batch) = self.spare.take() {
+            if Arc::ptr_eq(&batch.pool, &pool) {
+                if let Some(b) = Arc::get_mut(&mut batch) {
+                    b.reload(&mut self.picked, dispatch_ns);
+                    return Some(batch);
+                }
+            }
+        }
+        Some(Arc::new(Batch::new(
+            shared,
+            pool,
+            &mut self.picked,
+            dispatch_ns,
+        )))
+    }
+
+    /// Keeps `batch`, just executed, for the next dispatch to reload.
+    pub(crate) fn keep(&mut self, batch: Arc<Batch>) {
+        self.spare = Some(batch);
+    }
+
+    /// Picks the next dispatch under `discipline` into `picked`. Empty
+    /// means nothing is staged.
+    fn select(&mut self, discipline: Discipline) {
+        self.picked.clear();
         match discipline {
-            Discipline::CentralFcfs => self.central.pop_front().into_iter().collect(),
+            Discipline::CentralFcfs => self.picked.extend(self.central.pop_front()),
             Discipline::TenantDrr { quantum } => self.select_drr(quantum.max(1)),
             Discipline::Batch {
                 max_requests,
@@ -147,9 +202,9 @@ impl DispatchState {
         }
     }
 
-    fn select_drr(&mut self, quantum: u64) -> Vec<Admitted> {
+    fn select_drr(&mut self, quantum: u64) {
         if self.fifos.iter().all(VecDeque::is_empty) {
-            return Vec::new();
+            return;
         }
         let t_count = self.fifos.len();
         loop {
@@ -167,7 +222,8 @@ impl DispatchState {
                     // Stay on this tenant: it keeps dispatching while its
                     // credit lasts, then the scan naturally moves on.
                     self.rr = t;
-                    return self.fifos[t].pop_front().into_iter().collect();
+                    self.picked.extend(self.fifos[t].pop_front());
+                    return;
                 }
             }
             // Nobody could afford their head-of-line request: every needy
@@ -181,34 +237,55 @@ impl DispatchState {
         }
     }
 
-    fn select_batch(&mut self, max_requests: usize, max_iters: u64) -> Vec<Admitted> {
+    fn select_batch(&mut self, max_requests: usize, max_iters: u64) {
         let t_count = self.fifos.len();
-        let mut batch = Vec::new();
         let mut iters = 0u64;
         let mut empty_streak = 0;
-        while batch.len() < max_requests && empty_streak < t_count {
+        while self.picked.len() < max_requests && empty_streak < t_count {
             let t = self.rr;
             self.rr = (self.rr + 1) % t_count;
             match self.fifos[t].front() {
                 Some(front) => {
                     let cost = front.req.iters();
-                    if !batch.is_empty() && iters.saturating_add(cost) > max_iters {
+                    if !self.picked.is_empty() && iters.saturating_add(cost) > max_iters {
                         break;
                     }
                     iters += cost;
-                    batch.extend(self.fifos[t].pop_front());
+                    self.picked.extend(self.fifos[t].pop_front());
                     empty_streak = 0;
                 }
                 None => empty_streak += 1,
             }
         }
-        batch
     }
 }
 
-/// One phase of one request within a batch's execution plan.
+/// Records the dispatch stamps of `picked` — queueing delays, trace and
+/// recorder events, the dispatch counters — and returns the stamp.
+fn stamp_dispatch(shared: &ServerShared, picked: &[Admitted]) -> u64 {
+    let dispatch_ns = shared.now_ns();
+    for a in picked {
+        shared.tenants[a.req.tenant]
+            .queue_ns
+            .record(dispatch_ns.saturating_sub(a.admit_ns));
+        shared.trace_dispatch(a.req.tenant, a.id);
+        shared.serve_event(ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
+    }
+    shared.dispatches.fetch_add(1, Ordering::Relaxed);
+    if picked.len() > 1 {
+        shared
+            .batched_requests
+            .fetch_add(picked.len() as u64, Ordering::Relaxed);
+    }
+    dispatch_ns
+}
+
+/// One phase of one request within a batch's execution plan. It owns no
+/// source: `arm` says which of [`Batch::sources`] the phase runs on and
+/// how to re-arm it.
+#[derive(Clone, Copy)]
 struct Unit {
-    source: OwnedSource,
+    arm: Arm,
     /// Index into [`Batch::reqs`].
     req_idx: usize,
     /// Zero-based phase index within the request (span annotation).
@@ -218,17 +295,37 @@ struct Unit {
     last: bool,
 }
 
-/// An executing batch: the flattened phase plan, the in-batch barrier,
-/// and the stamps. Shared with every pool worker through the job `Arc`.
+/// An executing batch: the flattened phase plan, its work sources, the
+/// in-batch barrier, and the stamps. Shared with every pool worker
+/// through the job `Arc`.
+///
+/// A batch is an arena: after its dispatch returns, the dispatcher keeps
+/// it and reloads it in place for the next pick ([`Batch::reload`]), so
+/// the units, failure and retire slots, request vector and sources are
+/// allocated once, not per dispatch. Only a batch built for the pool the
+/// next dispatch goes to is reloaded; its sources size to that pool's P
+/// and count into its registry.
+///
+/// Arming follows the units' order, each in an exclusive window. Unit 0
+/// is armed by [`Batch::reload`] (or [`Batch::new`]) on the dispatcher,
+/// which owns the batch outright (`Arc::get_mut`) — every worker's last
+/// grab of the previous dispatch happened before its ack — and the pool's
+/// dispatch hand-off publishes the stores to the workers. Unit `g + 1`
+/// is armed in unit `g`'s barrier turn slot: after every worker's last
+/// grab of unit `g`, before any is released into unit `g + 1`.
 pub(crate) struct Batch {
     shared: Arc<ServerShared>,
-    /// The pool this batch was built against, captured once at dispatch.
-    /// The server's pool slot may be swapped by the supervisor mid-batch;
-    /// this batch keeps running (and stamping) against the pool it was
-    /// actually handed to.
+    /// The pool this batch was built for; it is reloaded only for
+    /// dispatches to the same pool. The server's pool slot may be swapped
+    /// by the supervisor mid-batch; this batch keeps running (and
+    /// stamping) against the pool it was actually handed to.
     pool: Arc<Pool>,
     reqs: Vec<Admitted>,
     units: Vec<Unit>,
+    /// One re-armable source per kind, shared by every unit of that kind.
+    sources: Sources,
+    /// Fresh per dispatch: [`Pool::phase_barrier`] also lets the pool's
+    /// adaptive spin controller re-size its budget.
     barrier: SenseBarrier,
     /// Per-request failure slot: [`NOT_FAILED`] while healthy, else
     /// `(worker << 32) | phase` of the first panic (first CAS wins).
@@ -243,57 +340,89 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    fn build(
-        shared: Arc<ServerShared>,
+    /// A batch arena for `pool`, loaded with `picked` (left empty).
+    fn new(
+        shared: &Arc<ServerShared>,
         pool: Arc<Pool>,
-        reqs: Vec<Admitted>,
+        picked: &mut Vec<Admitted>,
         dispatch_ns: u64,
     ) -> Batch {
-        let p = pool.workers();
-        let metrics = pool.metrics();
+        let mut batch = Batch {
+            shared: Arc::clone(shared),
+            sources: Sources::new(pool.workers(), pool.metrics()),
+            barrier: pool.phase_barrier(),
+            pool,
+            reqs: Vec::new(),
+            units: Vec::new(),
+            failed: Vec::new(),
+            retired: Vec::new(),
+            dispatch_ns,
+        };
+        batch.load(picked);
+        batch
+    }
+
+    /// Reloads this arena in place with `picked` (left empty): the
+    /// steady-state path, which builds no source.
+    fn reload(&mut self, picked: &mut Vec<Admitted>, dispatch_ns: u64) {
+        self.barrier = self.pool.phase_barrier();
+        self.dispatch_ns = dispatch_ns;
+        self.load(picked);
+    }
+
+    /// Takes the requests out of `picked`, plans one unit per phase,
+    /// resets the failure and retire slots, and arms unit 0.
+    fn load(&mut self, picked: &mut Vec<Admitted>) {
+        std::mem::swap(&mut self.reqs, picked);
+        picked.clear();
+        let p = self.pool.workers();
         // One controller observation per dispatched batch: every adaptive
         // unit in this batch runs with the same freshly tuned (k, b), and
         // the decision is surfaced through the pool's metrics snapshot.
-        let tune = if reqs
+        let tune = if self
+            .reqs
             .iter()
             .any(|a| a.req.policy == crate::request::ServePolicy::Adaptive)
         {
-            let ctl = &shared.adapt;
+            let metrics = self.pool.metrics();
+            let ctl = &self.shared.adapt;
             let t = ctl.observe_registry(metrics);
             metrics.record_sched_tune(t.k, t.b as u64, ctl.decisions(), ctl.settled());
             (t.k, t.b)
         } else {
             (p as u64, 1)
         };
-        let mut units = Vec::new();
-        for (ri, a) in reqs.iter().enumerate() {
+        self.units.clear();
+        for (ri, a) in self.reqs.iter().enumerate() {
+            let arm = a.req.policy.arm(a.req.n, p, tune);
             let phases = a.req.phases.max(1);
             for ph in 0..phases {
-                units.push(Unit {
-                    source: a.req.policy.build(a.req.n, p, metrics, tune),
+                self.units.push(Unit {
+                    arm,
                     req_idx: ri,
                     phase: ph,
                     last: ph + 1 == phases,
                 });
             }
         }
-        let barrier = pool.phase_barrier();
-        let n_reqs = reqs.len();
-        Batch {
-            shared,
-            pool,
-            reqs,
-            units,
-            barrier,
-            failed: (0..n_reqs).map(|_| AtomicU64::new(NOT_FAILED)).collect(),
-            retired: (0..n_reqs).map(|_| AtomicBool::new(false)).collect(),
-            dispatch_ns,
-        }
+        let n_reqs = self.reqs.len();
+        self.failed.clear();
+        self.failed
+            .resize_with(n_reqs, || AtomicU64::new(NOT_FAILED));
+        self.retired.clear();
+        self.retired.resize_with(n_reqs, || AtomicBool::new(false));
+        self.sources.arm(self.units[0].arm);
+    }
+
+    /// The `(tenant, id)` pairs aboard, in dispatch order.
+    pub(crate) fn ids(&self) -> Vec<(usize, u64)> {
+        self.reqs.iter().map(|a| (a.req.tenant, a.id)).collect()
     }
 
     /// The per-worker body: drain each unit's source, then rendezvous.
     /// Units are totally ordered; the barrier generation is the unit
-    /// index, so every worker walks the same chain.
+    /// index, so every worker walks the same chain. The turn slot closing
+    /// unit `g` arms unit `g + 1`'s source.
     ///
     /// Each unit's drain runs inside `catch_unwind`: a panicking body
     /// CASes `(worker, phase)` into its request's failure slot and the
@@ -326,7 +455,7 @@ impl Batch {
                             f.on_grab(w, phase, grabs);
                         }
                         grabs += 1;
-                        let Some(grab) = unit.source.next(w) else {
+                        let Some(grab) = self.sources.next(unit.arm, w) else {
                             break;
                         };
                         counters.record_access(grab.access);
@@ -359,6 +488,7 @@ impl Batch {
                 }
             }
             let completes = unit.last.then_some(unit.req_idx);
+            let next = self.units.get(g + 1).map(|u| u.arm);
             let (span_id, span_phase) = (a.id, unit.phase);
             self.barrier.arrive_then_as(w, (g + 1) as u64, || {
                 // The turn slot runs on exactly one worker, after every
@@ -370,6 +500,11 @@ impl Batch {
                 });
                 if let Some(ri) = completes {
                     self.retire(ri);
+                }
+                // Every worker finished unit g and none is released into
+                // g + 1: the exclusive window re-arming needs.
+                if let Some(arm) = next {
+                    self.sources.arm(arm);
                 }
             });
         }
@@ -472,9 +607,8 @@ impl Batch {
     }
 }
 
-/// Executes `reqs` as one pool dispatch, recording dispatch stamps and
-/// queueing delays on the way in. Returns the number of requests
-/// executed.
+/// Executes a loaded `batch` as one pool dispatch and hands it back for
+/// the caller to keep ([`DispatchState::keep`]).
 ///
 /// With `pump` (the dispatcher thread), the caller parks on the batch for
 /// at most [`PUMP_INTERVAL`] at a time and runs `pump` between parks, so
@@ -482,39 +616,13 @@ impl Batch {
 /// batch wakes the dispatcher at once, so the cadence never delays the
 /// next dispatch. Without it (manual mode), the call simply blocks on the
 /// pool until the batch is done.
-pub(crate) fn execute(
-    shared: &Arc<ServerShared>,
-    reqs: Vec<Admitted>,
-    pump: Option<&mut dyn FnMut()>,
-) -> usize {
-    debug_assert!(!reqs.is_empty());
-    let pool = shared.pool();
-    let dispatch_ns = shared.now_ns();
-    for a in &reqs {
-        shared.tenants[a.req.tenant]
-            .queue_ns
-            .record(dispatch_ns.saturating_sub(a.admit_ns));
-        shared.trace_dispatch(a.req.tenant, a.id);
-        shared.serve_event(ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
-    }
-    shared.dispatches.fetch_add(1, Ordering::Relaxed);
-    if reqs.len() > 1 {
-        shared
-            .batched_requests
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    }
-    let count = reqs.len();
-    let batch = Arc::new(Batch::build(
-        Arc::clone(shared),
-        Arc::clone(&pool),
-        reqs,
-        dispatch_ns,
-    ));
+pub(crate) fn execute(batch: Arc<Batch>, pump: Option<&mut dyn FnMut()>) -> Arc<Batch> {
+    let pool = &batch.pool;
     let outcome = match pump {
         None => pool.try_run(|w| batch.run_worker(w)),
         Some(pump) => {
             let b = Arc::clone(&batch);
-            dispatch_pumping(&pool, Arc::new(move |w| b.run_worker(w)), pump)
+            dispatch_pumping(pool, Arc::new(move |w| b.run_worker(w)), pump)
         }
     };
     if let Err(e) = outcome {
@@ -524,7 +632,7 @@ pub(crate) fn execute(
         // dispatcher itself survives.
         batch.fail_unretired(e.worker() as u32, e.phase() as u32);
     }
-    count
+    batch
 }
 
 /// Dispatches `job` and waits for it in timed parks of [`PUMP_INTERVAL`],
@@ -572,6 +680,12 @@ mod tests {
         }
     }
 
+    /// The next pick under `d`, taken out of the state.
+    fn pick(st: &mut DispatchState, d: Discipline) -> Vec<Admitted> {
+        st.select(d);
+        std::mem::take(&mut st.picked)
+    }
+
     fn staged(discipline: Discipline, reqs: Vec<Admitted>) -> DispatchState {
         let tenants = reqs.iter().map(|a| a.req.tenant).max().unwrap_or(0) + 1;
         let mut st = DispatchState::new(tenants);
@@ -590,7 +704,7 @@ mod tests {
         let d = Discipline::CentralFcfs;
         let mut st = staged(d, vec![req(1, 10), req(0, 20), req(1, 30)]);
         let picks: Vec<u64> =
-            std::iter::from_fn(|| st.select(d).into_iter().next().map(|a| a.req.n)).collect();
+            std::iter::from_fn(|| pick(&mut st, d).into_iter().next().map(|a| a.req.n)).collect();
         assert_eq!(picks, vec![10, 20, 30]);
         assert_eq!(st.backlog(), 0);
     }
@@ -607,7 +721,7 @@ mod tests {
         let mut st = staged(d, reqs);
         let mut order = Vec::new();
         loop {
-            let b = st.select(d);
+            let b = pick(&mut st, d);
             let Some(a) = b.into_iter().next() else { break };
             order.push(a.req.tenant);
         }
@@ -627,13 +741,13 @@ mod tests {
     fn drr_resets_credit_when_a_tenant_goes_idle() {
         let d = Discipline::TenantDrr { quantum: 1000 };
         let mut st = staged(d, vec![req(0, 10), req(1, 10)]);
-        while !st.select(d).is_empty() {}
+        while !pick(&mut st, d).is_empty() {}
         // Tenant 0 banked a large deficit; once idle it must not carry it
         // into the next burst (no stale-credit monopoly).
         st.fifos[0].push_back(req(0, 10));
         st.fifos[1].push_back(req(1, 10));
-        let first = st.select(d).remove(0);
-        let second = st.select(d).remove(0);
+        let first = pick(&mut st, d).remove(0);
+        let second = pick(&mut st, d).remove(0);
         let mut got = [first.req.tenant, second.req.tenant];
         got.sort_unstable();
         assert_eq!(got, [0, 1], "both tenants dispatch within one round");
@@ -649,14 +763,14 @@ mod tests {
             d,
             vec![req(0, 1), req(0, 2), req(1, 3), req(1, 4), req(0, 5)],
         );
-        let b1 = st.select(d);
+        let b1 = pick(&mut st, d);
         assert_eq!(b1.len(), 4);
         // Round-robin: alternating tenants while both have backlog.
         let tenants: Vec<usize> = b1.iter().map(|a| a.req.tenant).collect();
         assert_eq!(tenants, vec![0, 1, 0, 1]);
-        let b2 = st.select(d);
+        let b2 = pick(&mut st, d);
         assert_eq!(b2.len(), 1);
-        assert!(st.select(d).is_empty());
+        assert!(pick(&mut st, d).is_empty());
     }
 
     #[test]
@@ -666,10 +780,10 @@ mod tests {
             max_iters: 100,
         };
         let mut st = staged(d, vec![req(0, 90), req(0, 90), req(0, 500)]);
-        assert_eq!(st.select(d).len(), 1, "second 90 would blow the budget");
-        assert_eq!(st.select(d).len(), 1);
+        assert_eq!(pick(&mut st, d).len(), 1, "second 90 would blow the budget");
+        assert_eq!(pick(&mut st, d).len(), 1);
         // A single oversized request still boards (soft cap).
-        assert_eq!(st.select(d).len(), 1);
-        assert!(st.select(d).is_empty());
+        assert_eq!(pick(&mut st, d).len(), 1);
+        assert!(pick(&mut st, d).is_empty());
     }
 }

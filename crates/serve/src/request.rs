@@ -106,62 +106,84 @@ impl ServePolicy {
         }
     }
 
-    /// Builds a fresh work source for an `n`-iteration phase on `p`
-    /// workers. AFS sources feed CAS-retry/stash accounting into the
-    /// pool's registry, like the runtime drivers do. `tune` is the
+    /// How a phase of an `n`-iteration request under this policy arms
+    /// the batch's source of its kind on `p` workers. `tune` is the
     /// `(k, b)` pair in force for [`ServePolicy::Adaptive`] requests
     /// (decided once per batch by the server's controller); other
     /// policies ignore it.
-    pub(crate) fn build(
-        self,
-        n: u64,
-        p: usize,
-        metrics: &Arc<MetricsRegistry>,
-        tune: (u64, usize),
-    ) -> OwnedSource {
+    pub(crate) fn arm(self, n: u64, p: usize, tune: (u64, usize)) -> Arm {
+        let k = p as u64;
         match self {
-            ServePolicy::Afs => {
-                OwnedSource::Afs(AfsSource::new(n, p, p as u64).with_metrics(Arc::clone(metrics)))
-            }
-            ServePolicy::AfsGrabAhead { ahead } => OwnedSource::Afs(
-                AfsSource::new(n, p, p as u64)
-                    .with_grab_ahead(ahead)
-                    .with_metrics(Arc::clone(metrics)),
-            ),
-            ServePolicy::SelfSched => OwnedSource::FetchAdd(FetchAddSource::new(n, 1)),
-            ServePolicy::Css { chunk } => {
-                OwnedSource::FetchAdd(FetchAddSource::new(n, chunk.max(1)))
-            }
-            ServePolicy::Static => OwnedSource::Static(StaticSource::new(n, p)),
-            ServePolicy::Adaptive => OwnedSource::Afs(
-                AfsSource::new(n, p, tune.0)
-                    .with_grab_ahead(tune.1)
-                    .with_metrics(Arc::clone(metrics)),
-            ),
+            ServePolicy::Afs => Arm::Afs { n, k, b: 1 },
+            ServePolicy::AfsGrabAhead { ahead } => Arm::Afs { n, k, b: ahead },
+            ServePolicy::SelfSched => Arm::FetchAdd { n, chunk: 1 },
+            ServePolicy::Css { chunk } => Arm::FetchAdd {
+                n,
+                chunk: chunk.max(1),
+            },
+            ServePolicy::Static => Arm::Static { n },
+            ServePolicy::Adaptive => Arm::Afs {
+                n,
+                k: tune.0,
+                b: tune.1,
+            },
         }
     }
 }
 
-/// A concrete, owned work source for one phase of one request. The
-/// runtime's sources are generic over `&self`; the server owns its batch
-/// plan, so an enum (not a boxed trait object) keeps dispatch static.
-// The Afs variant is large (per-worker padded queue words), but sources
-// live in a per-batch Vec walked once per phase — boxing would buy
-// nothing and cost a pointer chase on every grab.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum OwnedSource {
-    Afs(AfsSource),
-    FetchAdd(FetchAddSource),
-    Static(StaticSource),
+/// Which of a batch's [`Sources`] one phase runs on, and the parameters
+/// it re-arms that source with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// The AFS source, with subdivision `k` and grab-ahead `b`.
+    Afs { n: u64, k: u64, b: usize },
+    /// The fetch-and-add source (SS is `chunk = 1`).
+    FetchAdd { n: u64, chunk: u64 },
+    /// The static-partition source.
+    Static { n: u64 },
 }
 
-impl OwnedSource {
+/// One re-armable work source per kind, built once per batch arena and
+/// re-armed for every phase that runs on it, so a steady-state batch
+/// builds no source. The runtime's sources are generic over `&self`; the
+/// match on [`Arm`] keeps grab dispatch static.
+pub(crate) struct Sources {
+    afs: AfsSource,
+    fetch_add: FetchAddSource,
+    fixed: StaticSource,
+}
+
+impl Sources {
+    /// Sources for `p` workers; AFS feeds CAS-retry/stash accounting into
+    /// the pool's registry, like the runtime drivers do.
+    pub(crate) fn new(p: usize, metrics: &Arc<MetricsRegistry>) -> Sources {
+        Sources {
+            afs: AfsSource::new(0, p, p as u64).with_metrics(Arc::clone(metrics)),
+            fetch_add: FetchAddSource::new(0, 1),
+            fixed: StaticSource::new(0, p),
+        }
+    }
+
+    /// Re-arms the source `arm` names. Carries [`WorkSource::rearm`]'s
+    /// contract: only in an exclusive window, after every grab of the
+    /// source's previous phase and before any grab of the new one. Cannot
+    /// panic: admission bounds `n` by `u32::MAX`, inside the AFS source's
+    /// packed cursor range for every P.
+    pub(crate) fn arm(&self, arm: Arm) {
+        match arm {
+            Arm::Afs { n, k, b } => self.afs.rearm_with(n, k, b),
+            Arm::FetchAdd { n, chunk } => self.fetch_add.rearm_with(n, chunk),
+            Arm::Static { n } => self.fixed.rearm(n),
+        }
+    }
+
+    /// Grabs the next chunk for `worker` from the source `arm` names.
     #[inline]
-    pub(crate) fn next(&self, worker: usize) -> Option<Grab> {
-        match self {
-            OwnedSource::Afs(s) => s.next(worker),
-            OwnedSource::FetchAdd(s) => s.next(worker),
-            OwnedSource::Static(s) => s.next(worker),
+    pub(crate) fn next(&self, arm: Arm, worker: usize) -> Option<Grab> {
+        match arm {
+            Arm::Afs { .. } => self.afs.next(worker),
+            Arm::FetchAdd { .. } => self.fetch_add.next(worker),
+            Arm::Static { .. } => self.fixed.next(worker),
         }
     }
 }
@@ -173,7 +195,9 @@ pub struct LoopRequest {
     pub tenant: usize,
     /// The loop body.
     pub kernel: ServeKernel,
-    /// Iterations per phase.
+    /// Iterations per phase, at most `u32::MAX`: admission rejects larger
+    /// loops, which would overflow the AFS source's packed 32-bit queue
+    /// cursors on a single-worker pool.
     pub n: u64,
     /// Number of barrier-separated phases (≥ 1).
     pub phases: u32,
@@ -353,8 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn policies_build_sources_that_cover_n() {
+    fn policies_arm_sources_that_cover_n() {
         let reg = Arc::new(MetricsRegistry::new(2));
+        let sources = Sources::new(2, &reg);
         for policy in [
             ServePolicy::Afs,
             ServePolicy::AfsGrabAhead { ahead: 4 },
@@ -363,10 +388,11 @@ mod tests {
             ServePolicy::Static,
             ServePolicy::Adaptive,
         ] {
-            let src = policy.build(100, 2, &reg, (4, 2));
+            let arm = policy.arm(100, 2, (4, 2));
+            sources.arm(arm);
             let mut total = 0u64;
             for w in 0..2 {
-                while let Some(g) = src.next(w) {
+                while let Some(g) = sources.next(arm, w) {
                     total += g.range.len();
                 }
             }

@@ -309,33 +309,30 @@ impl ServerShared {
 /// Retires out of `picked` every request whose deadline elapsed while it
 /// was queued: pending/backlog books are balanced, the `expired`
 /// counters move, and [`EventKind::RequestExpired`] plus the recorder
-/// serve-event fire — all without touching the pool. Returns the
-/// still-live requests in order.
-pub(crate) fn retire_expired(shared: &ServerShared, picked: Vec<Admitted>) -> Vec<Admitted> {
+/// serve-event fire — all without touching the pool. The still-live
+/// requests stay in order.
+pub(crate) fn retire_expired(shared: &ServerShared, picked: &mut Vec<Admitted>) {
     let now = shared.now_ns();
-    picked
-        .into_iter()
-        .filter_map(|a| {
-            let expired = a
-                .req
-                .deadline
-                .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
-            if !expired {
-                return Some(a);
-            }
-            let t = &shared.tenants[a.req.tenant];
-            t.expired.fetch_add(1, Ordering::Relaxed);
-            t.pending.fetch_sub(1, Ordering::SeqCst);
-            t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
-            shared.expired.fetch_add(1, Ordering::Relaxed);
-            shared.trace_record(EventKind::RequestExpired {
-                tenant: a.req.tenant as u32,
-                id: a.id,
-            });
-            shared.serve_event(ServeEventKind::Expired, a.req.tenant, a.id, 0);
-            None
-        })
-        .collect()
+    picked.retain(|a| {
+        let expired = a
+            .req
+            .deadline
+            .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
+        if !expired {
+            return true;
+        }
+        let t = &shared.tenants[a.req.tenant];
+        t.expired.fetch_add(1, Ordering::Relaxed);
+        t.pending.fetch_sub(1, Ordering::SeqCst);
+        t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
+        shared.expired.fetch_add(1, Ordering::Relaxed);
+        shared.trace_record(EventKind::RequestExpired {
+            tenant: a.req.tenant as u32,
+            id: a.id,
+        });
+        shared.serve_event(ServeEventKind::Expired, a.req.tenant, a.id, 0);
+        false
+    });
 }
 
 /// The serving ledger read straight off `ServerShared` — shared by
@@ -575,10 +572,7 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
     let mut idle = 0u32;
     loop {
         st.pump(shared, discipline);
-        // A selected request whose deadline ran out in the queue retires
-        // as Expired right here, without costing a pool dispatch.
-        let picked = retire_expired(shared, st.select(discipline));
-        if picked.is_empty() {
+        let Some(batch) = st.next_batch(shared, discipline) else {
             if shared.shutdown.load(Ordering::SeqCst)
                 && st.backlog() == 0
                 && shared.queue.is_empty()
@@ -592,15 +586,15 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
                 thread::sleep(Duration::from_micros(100));
             }
             continue;
-        }
+        };
         idle = 0;
-        execute(
-            shared,
-            picked,
+        let batch = execute(
+            batch,
             Some(&mut || {
                 st.pump(shared, discipline);
             }),
         );
+        st.keep(batch);
     }
 }
 
@@ -665,8 +659,11 @@ impl LoopServer {
     /// (`Accepted` with its id) or it is shed right now with the reason.
     /// Callable from any number of client threads concurrently.
     ///
-    /// Panics if `req.tenant` is out of range or `req.phases == 0` —
-    /// those are caller bugs, not load conditions.
+    /// Panics if `req.tenant` is out of range, `req.phases == 0` or
+    /// `req.n > u32::MAX` — those are caller bugs, not load conditions.
+    /// (An oversized loop is refused here, on the caller's thread, rather
+    /// than failing where its source is armed, on the dispatcher or a
+    /// worker.)
     pub fn admit(&self, req: LoopRequest) -> Admit {
         let s = &*self.shared;
         assert!(
@@ -675,6 +672,11 @@ impl LoopServer {
             req.tenant
         );
         assert!(req.phases >= 1, "a request needs at least one phase");
+        assert!(
+            req.n <= u64::from(u32::MAX),
+            "a request runs at most u32::MAX iterations per phase, not {}",
+            req.n
+        );
         if s.shutdown.load(Ordering::SeqCst) {
             return self.shed(req.tenant, ShedReason::ShuttingDown);
         }
@@ -773,17 +775,30 @@ impl LoopServer {
             "dispatch_next() is for manual-mode servers"
         );
         let mut st = self.lock_state();
-        let picked = retire_expired(&self.shared, st.select(self.discipline));
-        if picked.is_empty() {
+        let Some(batch) = st.next_batch(&self.shared, self.discipline) else {
             return Vec::new();
-        }
-        let ids: Vec<(usize, u64)> = picked.iter().map(|a| (a.req.tenant, a.id)).collect();
-        execute(&self.shared, picked, None);
+        };
+        let ids = batch.ids();
+        st.keep(execute(batch, None));
         ids
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, DispatchState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The current values of tenant `tenant`'s workset slots. Under
+    /// [`crate::ServeKernel::Touch`], slot `s` counts the iterations `i`
+    /// with `i & (len - 1) == s` that the tenant's requests ran: an
+    /// exactly-once check independent of the iteration counters. Tests
+    /// only; not part of the stable API.
+    #[doc(hidden)]
+    pub fn workset(&self, tenant: usize) -> Vec<u64> {
+        self.shared.tenants[tenant]
+            .workset
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .collect()
     }
 
     /// Requests admitted but not yet completed, across all tenants.

@@ -13,8 +13,10 @@
 //! The dispatcher's staging FIFOs are pool-independent, so queued and
 //! staged requests ride through a restart untouched — the next dispatch
 //! simply lands on the replacement pool. A batch already in flight keeps
-//! the old pool alive through its own `Arc` and finishes there; the old
-//! pool's threads are joined when the last reference drops.
+//! the old pool alive through its own `Arc` and finishes there, and the
+//! dispatcher's spare batch holds it until the next dispatch, which
+//! builds a fresh batch on the replacement instead of reusing it; the
+//! old pool's threads are joined when the last reference drops.
 
 use crate::server::ServerShared;
 use afs_runtime::Pool;

@@ -1,12 +1,13 @@
 //! Robustness integration tests: panic isolation inside fused batches,
 //! deadline expiry and predictive shedding, pool supervision, the
-//! admission ring's push-versus-shutdown-drain race, and admission
-//! draining while the dispatcher is parked on a long batch.
+//! admission ring's push-versus-shutdown-drain race, admission draining
+//! while the dispatcher is parked on a long batch, and the admission
+//! bound on loop length.
 //!
-//! CI runs the `panic_`, `supervisor_` and `admission_` families by name
-//! in release mode — they are the tests that would catch a containment,
-//! restart or pump-cadence race, and those only mean anything under
-//! optimized codegen.
+//! CI runs the `panic_`, `supervisor_` and `admission_` families and the
+//! loop-length test by name in release mode — they are the tests that
+//! would catch a containment, restart or pump-cadence race, and those
+//! only mean anything under optimized codegen.
 
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
@@ -521,4 +522,45 @@ fn admission_never_blocks_on_a_long_batch() {
     assert_eq!(snap.completed, admitted, "every admitted request ran once");
     assert_eq!(snap.failed + snap.expired + snap.timed_out, 0);
     assert_eq!(snap.tenants[0].sojourn_ns.samples, admitted);
+}
+
+/// A loop of more than `u32::MAX` iterations per phase is refused at
+/// admission, on the caller's thread. Admitted, its AFS source could not
+/// be armed (the per-queue partition overflows the packed 32-bit
+/// cursors): the panic killed the dispatcher thread and every later
+/// request stayed pending forever. The wait below is bounded, not
+/// `drain()`, so that failure mode fails the test instead of hanging it.
+#[test]
+fn oversized_loops_are_refused_at_admission() {
+    let server = LoopServer::builder(Arc::new(Pool::new(2)))
+        .tenant("t")
+        .build();
+    let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        server.admit(req(0, 1 << 34, 1))
+    }));
+    for _ in 0..8 {
+        assert!(server.admit(req(0, 512, 2)).is_accepted());
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.pending() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the dispatcher stopped serving: {} requests still pending",
+            server.pending()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        verdict.is_err(),
+        "a 2^34-iteration loop must be refused at admission, got {verdict:?}"
+    );
+    let ledger = server.shutdown();
+    assert_eq!((ledger.admitted, ledger.completed), (8, 8));
+    // The bound itself is admissible (a manual server, so it never runs).
+    let manual = LoopServer::builder(Arc::new(Pool::new(1)))
+        .tenant("t")
+        .manual()
+        .build();
+    assert!(manual.admit(req(0, u64::from(u32::MAX), 1)).is_accepted());
+    assert_eq!(manual.shutdown().shed_shutdown, 1);
 }
